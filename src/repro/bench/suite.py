@@ -922,7 +922,7 @@ register(
 # ---------------------------------------------------------------------------
 REMOTE_DISPATCH_MECHANISMS = ("refab", "refpb", "darp", "dsarp")
 
-#: Loopback framing + pickling must stay cheap relative to simulation.
+#: Loopback framing + JSON encoding must stay cheap relative to simulation.
 REMOTE_DISPATCH_MAX_OVERHEAD = 0.15
 
 #: Below this in-process wall clock the batch is too short for the ratio
@@ -959,7 +959,7 @@ def _remote_dispatch(context: BenchContext):
     same shard dispatcher: once with one in-process worker, once serve-only
     with one ``repro worker`` subprocess on loopback.  Both legs run one
     simulation at a time, so the ratio isolates what the coordinator adds —
-    job pickling, length-prefixed framing, heartbeats, and result decode —
+    JSON job encoding, length-prefixed framing, heartbeats, and result decode —
     and the check gates that tax at 15 %.  The worker registers before the
     remote timer starts, so interpreter boot is excluded by construction.
     """

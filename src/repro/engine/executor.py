@@ -224,10 +224,12 @@ def _record_job_span(job: SimulationJob, elapsed_s: float) -> None:
 class ParallelExecutor(JobExecutor):
     """Fans a batch out over a work-stealing shard queue of workers.
 
-    Jobs and results cross the process boundary by pickling; results are
-    reassembled in batch order, so the outcome is byte-identical to the
-    serial executor regardless of ``workers``, shard plan or completion
-    order.  Resilience knobs:
+    Local worker processes exchange jobs and results with this process
+    over private ``multiprocessing`` pipes; remote workers (``serve``)
+    speak the JSON-only protocol of :mod:`repro.engine.remote`.  Results
+    are reassembled in batch order, so the outcome is byte-identical to
+    the serial executor regardless of ``workers``, shard plan, host or
+    completion order.  Resilience knobs:
 
     ``max_retries``
         Per-job retry budget.  A job whose worker crashes, whose

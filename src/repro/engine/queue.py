@@ -14,12 +14,14 @@ dispatcher:
   worker (round-robin over the cost-sorted plan), and an idle worker
   taking another worker's shard counts as a **steal** — the load-balancing
   event the executor reports through its stats.
-* The parent monitors every worker over private pipes.  A worker that
-  dies (``kill -9``, OOM, segfault) or exceeds the per-job timeout is
-  reaped: its finished results are kept, its in-flight job is retried
-  with exponential backoff up to a bounded retry budget, the rest of its
-  shard is re-queued, and a replacement worker is spawned.  The run
-  completes with a warning instead of crashing.
+* The parent monitors every worker over private pipes through a
+  :class:`WorkerPool`, which the ``repro worker`` runtime of
+  :mod:`repro.engine.remote` runs too.  A worker that dies (``kill -9``,
+  OOM, segfault) or exceeds the per-job timeout is reaped: its finished
+  results are kept, its in-flight job is retried with exponential
+  backoff up to a bounded retry budget, the rest of its shard is
+  re-queued, and a replacement worker is spawned.  The run completes
+  with a warning instead of crashing.
 
 Per-worker pipes (rather than one shared queue) are what make the
 ``kill -9`` path safe: a worker killed mid-``send`` can only corrupt its
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from contextlib import suppress
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
 from time import perf_counter, sleep
@@ -46,6 +49,8 @@ MSG_STARTED = "started"
 MSG_DONE = "done"
 MSG_ERROR = "error"
 MSG_SHARD_DONE = "shard_done"
+#: Event a :class:`WorkerPool` raises for a process that died or timed out.
+MSG_LOST = "lost"
 
 #: How many shards to plan per worker; more shards = finer stealing
 #: granularity, at the price of slightly more dispatch chatter.
@@ -276,6 +281,67 @@ def _worker_main(worker_id: int, tasks, results, close_fds=()) -> None:
     results.close()
 
 
+@dataclass(frozen=True)
+class PoolEvent:
+    """One job-lifecycle event from a pool process or a remote worker.
+
+    ``kind`` is one of the ``MSG_*`` names.  ``started``, ``done`` and
+    ``error`` name the job's ``slot``; ``done`` adds its ``result`` and
+    ``error`` its ``reason``.  A ``lost`` event reports a process (or
+    remote link) that died or timed out: ``slot`` is the job it was
+    running, if any, and ``remaining`` the slots of ``shard`` it never
+    started.
+    """
+
+    kind: str
+    shard: Optional[Shard] = None
+    slot: Optional[int] = None
+    result: object = None
+    elapsed_s: float = 0.0
+    reason: str = ""
+    remaining: tuple = ()
+    timed_out: bool = False
+    worker_id: Optional[int] = None
+
+
+@dataclass
+class ShardProgress:
+    """How far one process, or one remote worker, got through a shard."""
+
+    shard: Shard
+    #: Slots already finished (done or errored).
+    finished: set = field(default_factory=set)
+    #: Slot currently simulating, and when it was seen to start.
+    running: Optional[int] = None
+    since: float = 0.0
+
+    def start(self, slot: int) -> None:
+        self.running, self.since = slot, perf_counter()
+
+    def finish(self, slot: int) -> None:
+        self.finished.add(slot)
+        if self.running == slot:
+            self.running = None
+
+    def lost(self, reason: str, **fields) -> PoolEvent:
+        """The ``lost`` event for this shard: the in-flight slot, if any,
+        and the slots that never started."""
+        running = self.running
+        return PoolEvent(
+            MSG_LOST,
+            self.shard,
+            running,
+            elapsed_s=0.0 if running is None else perf_counter() - self.since,
+            reason=reason,
+            remaining=tuple(
+                slot
+                for slot in self.shard.slots
+                if slot not in self.finished and slot != running
+            ),
+            **fields,
+        )
+
+
 @dataclass
 class _Worker:
     """Parent-side handle for one worker process."""
@@ -284,19 +350,182 @@ class _Worker:
     process: multiprocessing.Process
     task_conn: object
     result_conn: object
-    shard: Optional[Shard] = None
-    #: Slots of the current shard already finished (done or errored).
-    finished: set = field(default_factory=set)
-    #: Slot currently simulating, and when the parent saw it start.
-    running_slot: Optional[int] = None
-    running_since: float = 0.0
+    #: Progress through the assigned shard; None while idle.
+    progress: Optional[ShardProgress] = None
 
     @property
     def pid(self) -> Optional[int]:
         return self.process.pid
 
     def idle(self) -> bool:
-        return self.shard is None
+        return self.progress is None
+
+    def stop(self, grace_s: float = 0.0) -> None:
+        """Join the process, killing it after ``grace_s``; close its pipes."""
+        self.process.join(timeout=grace_s)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join(timeout=5.0)
+        for conn in (self.task_conn, self.result_conn):
+            with suppress(OSError):
+                conn.close()
+
+
+class WorkerPool:
+    """Local simulation processes, each fed whole shards over a pipe.
+
+    The pool owns the process side of dispatch: spawning, assigning
+    shards, turning pipe traffic into :class:`PoolEvent` records, reaping
+    processes that die or exceed ``job_timeout``, and shutdown.  What to
+    do about a lost job (retry, re-queue, respawn) is the caller's
+    policy: :class:`ShardDispatcher` on the coordinator, and the
+    ``repro worker`` runtime in :mod:`repro.engine.remote`.
+
+    ``inherited_fds`` are extra parent fds that every forked child closes
+    first.  A remote worker passes its coordinator socket: left open in a
+    child, a SIGKILLed worker would be noticed by the coordinator only at
+    the heartbeat timeout instead of as an immediate EOF.
+    """
+
+    def __init__(
+        self, job_timeout: Optional[float] = None, inherited_fds: Sequence[int] = ()
+    ) -> None:
+        self.job_timeout = job_timeout
+        self.inherited_fds = tuple(inherited_fds)
+        self._mp = multiprocessing.get_context()
+        self._live: dict[int, _Worker] = {}
+        self._next_worker_id = 0
+        #: Losses seen outside :meth:`poll` (a failed assign), reported
+        #: by the next poll.
+        self._lost: list[PoolEvent] = []
+
+    def __len__(self) -> int:
+        return len(self._live)
+
+    def pids(self) -> list[int]:
+        """PIDs of the live processes, in worker-id order."""
+        return [
+            worker.pid
+            for _, worker in sorted(self._live.items())
+            if worker.pid is not None
+        ]
+
+    def idle_workers(self) -> list[_Worker]:
+        return [worker for worker in self._live.values() if worker.idle()]
+
+    def wait_channels(self) -> list:
+        """Result pipes and process sentinels, for ``connection.wait``."""
+        channels = [worker.result_conn for worker in self._live.values()]
+        channels += [worker.process.sentinel for worker in self._live.values()]
+        return channels
+
+    def spawn(self) -> _Worker:
+        task_recv, task_send = self._mp.Pipe(duplex=False)
+        result_recv, result_send = self._mp.Pipe(duplex=False)
+        worker_id = self._next_worker_id
+        self._next_worker_id += 1
+        close_fds = ()
+        if self._mp.get_start_method() == "fork":
+            # The forked child inherits every parent-side pipe end,
+            # including the write end of its own task pipe, which would
+            # keep ``tasks.recv()`` from ever seeing EOF once this parent
+            # dies, leaving an orphaned child blocked forever.
+            inherited = [*self.inherited_fds, task_send.fileno(), result_recv.fileno()]
+            for sibling in self._live.values():
+                inherited.append(sibling.task_conn.fileno())
+                inherited.append(sibling.result_conn.fileno())
+            close_fds = tuple(inherited)
+        process = self._mp.Process(
+            target=_worker_main,
+            args=(worker_id, task_recv, result_send, close_fds),
+            name=f"repro-worker-{worker_id}",
+            daemon=True,
+        )
+        process.start()
+        # The parent's copies of the child-side ends must close so a dead
+        # worker's pipes actually report EOF.
+        task_recv.close()
+        result_send.close()
+        worker = _Worker(
+            worker_id=worker_id,
+            process=process,
+            task_conn=task_send,
+            result_conn=result_recv,
+        )
+        self._live[worker_id] = worker
+        return worker
+
+    def assign(self, worker: _Worker, shard: Shard) -> None:
+        """Send an idle worker a shard; a dead one is reaped instead."""
+        worker.progress = ShardProgress(shard)
+        try:
+            worker.task_conn.send(shard)
+        except (OSError, BrokenPipeError):
+            self._lost.append(self._reap(worker, "died before dispatch"))
+
+    def poll(self) -> list[PoolEvent]:
+        """Drain every pipe and reap dead or timed-out processes."""
+        events, self._lost = self._lost, []
+        for worker in list(self._live.values()):
+            try:
+                while worker.result_conn.poll():
+                    events.append(self._track(worker, worker.result_conn.recv()))
+            except (EOFError, OSError):
+                events.append(self._reap(worker, "died mid-run"))
+                continue
+            if not worker.process.is_alive():
+                reason = f"died (exit code {worker.process.exitcode})"
+                events.append(self._reap(worker, reason))
+                continue
+            progress = worker.progress
+            if (
+                self.job_timeout is not None
+                and progress is not None
+                and progress.running is not None
+                and perf_counter() - progress.since > self.job_timeout
+            ):
+                log.warning(
+                    "job #%d exceeded the %.2fs timeout on worker %d; "
+                    "killing the worker",
+                    progress.running,
+                    self.job_timeout,
+                    worker.worker_id,
+                )
+                reason = f"timed out after {self.job_timeout:.2f}s"
+                events.append(self._reap(worker, reason, timed_out=True))
+        return events
+
+    def _track(self, worker: _Worker, message: tuple) -> PoolEvent:
+        kind, progress = message[0], worker.progress
+        shard = progress.shard
+        if kind == MSG_STARTED:
+            progress.start(message[3])
+            return PoolEvent(kind, shard, slot=message[3])
+        if kind == MSG_SHARD_DONE:
+            worker.progress = None
+            return PoolEvent(kind, shard)
+        _, _, _, slot, payload, elapsed_s = message
+        progress.finish(slot)
+        if kind == MSG_DONE:
+            return PoolEvent(kind, shard, slot, result=payload, elapsed_s=elapsed_s)
+        return PoolEvent(kind, shard, slot, reason=payload, elapsed_s=elapsed_s)
+
+    def _reap(self, worker: _Worker, reason: str, timed_out: bool = False) -> PoolEvent:
+        """Remove a dead (or hung) process and report what it lost."""
+        self._live.pop(worker.worker_id, None)
+        worker.stop()
+        fields = {"timed_out": timed_out, "worker_id": worker.worker_id}
+        if worker.progress is None:
+            return PoolEvent(MSG_LOST, reason=reason, **fields)
+        return worker.progress.lost(reason, **fields)
+
+    def shutdown(self) -> None:
+        for worker in self._live.values():
+            with suppress(OSError):
+                worker.task_conn.send(None)
+        for worker in self._live.values():
+            worker.stop(grace_s=5.0)
+        self._live.clear()
 
 
 class ShardDispatcher:
@@ -351,52 +580,13 @@ class ShardDispatcher:
         self.remote = remote
         self.cost_model = cost_model
         self._cost_fn = cost_model.estimate if cost_model is not None else estimate_cost
-        self._mp = multiprocessing.get_context()
-        self._live: dict[int, _Worker] = {}
-        self._next_worker_id = 0
+        self._pool = WorkerPool(job_timeout=job_timeout)
         self._next_shard_id = 0
 
     # -- introspection (tests, resilience drills) --------------------------
     def worker_pids(self) -> list[int]:
         """PIDs of the live worker processes, in worker-id order."""
-        return [
-            worker.pid
-            for _, worker in sorted(self._live.items())
-            if worker.pid is not None
-        ]
-
-    # -- lifecycle ---------------------------------------------------------
-    def _spawn_worker(self) -> _Worker:
-        task_recv, task_send = self._mp.Pipe(duplex=False)
-        result_recv, result_send = self._mp.Pipe(duplex=False)
-        worker_id = self._next_worker_id
-        self._next_worker_id += 1
-        close_fds = ()
-        if self._mp.get_start_method() == "fork":
-            inherited = [task_send.fileno(), result_recv.fileno()]
-            for sibling in self._live.values():
-                inherited.append(sibling.task_conn.fileno())
-                inherited.append(sibling.result_conn.fileno())
-            close_fds = tuple(inherited)
-        process = self._mp.Process(
-            target=_worker_main,
-            args=(worker_id, task_recv, result_send, close_fds),
-            name=f"repro-worker-{worker_id}",
-            daemon=True,
-        )
-        process.start()
-        # The parent's copies of the child-side ends must close so a dead
-        # worker's pipes actually report EOF.
-        task_recv.close()
-        result_send.close()
-        worker = _Worker(
-            worker_id=worker_id,
-            process=process,
-            task_conn=task_send,
-            result_conn=result_recv,
-        )
-        self._live[worker_id] = worker
-        return worker
+        return self._pool.pids()
 
     def run(self, jobs: Sequence) -> list:
         """Execute every job; returns results aligned with ``jobs``.
@@ -411,6 +601,7 @@ class ShardDispatcher:
         attempts: dict[int, int] = {}
 
         remote = self.remote
+        pool = self._pool
         capacity = self.workers + (remote.total_capacity() if remote else 0)
         shards = plan_shards(
             jobs, max(1, capacity), self.shards_per_worker, cost_fn=self._cost_fn
@@ -425,7 +616,7 @@ class ShardDispatcher:
         delayed: list[tuple[float, Shard]] = []
 
         for _ in range(min(self.workers, max(1, len(shards)))):
-            self._spawn_worker()
+            pool.spawn()
 
         def outstanding() -> int:
             return len(jobs) - len(resolved) - len(failed)
@@ -449,14 +640,11 @@ class ShardDispatcher:
             else:
                 ready.append(shard)
 
-        def give_up(slot: int, reason: str) -> None:
-            failed[slot] = reason
-            log.warning("job #%d permanently failed: %s", slot, reason)
-
         def retry_or_fail(slot: int, reason: str) -> None:
             attempts[slot] = attempts.get(slot, 0) + 1
             if attempts[slot] > self.max_retries:
-                give_up(slot, f"{reason} (after {attempts[slot]} attempts)")
+                failed[slot] = f"{reason} (after {attempts[slot]} attempts)"
+                log.warning("job #%d permanently failed: %s", slot, failed[slot])
                 return
             self.stats.retries += 1
             backoff = self.retry_backoff_s * (2 ** (attempts[slot] - 1))
@@ -470,68 +658,47 @@ class ShardDispatcher:
             )
             requeue([slot], delay_s=backoff)
 
-        def reap(worker: _Worker, reason: str, in_flight_failed: bool) -> None:
-            """Remove a dead worker, salvaging and re-queuing its shard."""
-            self._live.pop(worker.worker_id, None)
-            for conn in (worker.task_conn, worker.result_conn):
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-            if worker.process.is_alive():
-                worker.process.kill()
-            worker.process.join(timeout=5.0)
-            shard = worker.shard
-            if shard is not None:
-                remaining = [
-                    slot for slot in shard.slots if slot not in worker.finished
-                ]
-                running = worker.running_slot
-                if in_flight_failed and running is not None and running in remaining:
-                    remaining.remove(running)
-                    retry_or_fail(running, reason)
-                if remaining:
-                    log.warning(
-                        "re-queuing %d unstarted job(s) of shard %d after %s",
-                        len(remaining),
-                        shard.shard_id,
-                        reason,
-                    )
-                    requeue(remaining)
-            if outstanding() > 0:
-                replacement = self._spawn_worker()
-                log.warning(
-                    "worker %d %s; spawned replacement worker %d",
-                    worker.worker_id,
-                    reason,
-                    replacement.worker_id,
-                )
-
-        def handle_message(worker: _Worker, message: tuple) -> None:
-            kind = message[0]
-            if kind == MSG_STARTED:
-                worker.running_slot = message[3]
-                worker.running_since = perf_counter()
-            elif kind == MSG_DONE:
-                _, _, _, slot, result, elapsed_s = message
-                worker.finished.add(slot)
-                worker.running_slot = None
+        def handle(event: PoolEvent) -> None:
+            """Apply one local or remote completion or loss to the batch."""
+            slot = event.slot
+            if event.kind == MSG_DONE:
                 if slot in resolved:
                     return  # a presumed-lost job that actually finished
                 resolved.add(slot)
                 failed.pop(slot, None)
-                results[slot] = result
-                self.on_result(slot, result, elapsed_s, attempts.get(slot, 0) + 1)
-            elif kind == MSG_ERROR:
-                _, _, _, slot, reason, _elapsed_s = message
-                worker.finished.add(slot)
-                worker.running_slot = None
+                results[slot] = event.result
+                self.on_result(
+                    slot, event.result, event.elapsed_s, attempts.get(slot, 0) + 1
+                )
+            elif event.kind == MSG_ERROR:
                 if slot not in resolved:
-                    retry_or_fail(slot, reason)
-            elif kind == MSG_SHARD_DONE:
-                worker.shard = None
-                worker.finished = set()
-                worker.running_slot = None
+                    retry_or_fail(slot, event.reason)
+            elif event.kind == MSG_LOST:
+                if slot is not None and slot not in resolved and slot not in failed:
+                    retry_or_fail(slot, event.reason)
+                if event.remaining:
+                    log.warning(
+                        "re-queuing %d unstarted job(s) of shard %d after %s",
+                        len(event.remaining),
+                        event.shard.shard_id,
+                        event.reason,
+                    )
+                    requeue(event.remaining)
+
+        def replace_worker(lost: PoolEvent) -> None:
+            """Count a lost local process; respawn it while work remains."""
+            if lost.timed_out:
+                self.stats.timeouts += 1
+            else:
+                self.stats.worker_failures += 1
+            if outstanding() > 0:
+                replacement = pool.spawn()
+                log.warning(
+                    "worker %d %s; spawned replacement worker %d",
+                    lost.worker_id,
+                    lost.reason,
+                    replacement.worker_id,
+                )
 
         try:
             while outstanding() > 0:
@@ -543,33 +710,27 @@ class ShardDispatcher:
                     ]
                     ready.extend(due)
                 remote_alive = remote is not None and remote.live_count() > 0
-                if not self._live and not remote_alive and (ready or delayed):
+                if len(pool) == 0 and not remote_alive and (ready or delayed):
                     # Every worker died while work remains (possible when
                     # respawns were skipped at the very end of the drain).
                     # In serve-only mode, hold off until the first remote
                     # worker has ever joined: before that, the queue is
                     # simply waiting for connections, not degraded.
                     if remote is None or remote.ever_registered > 0:
-                        self._spawn_worker()
-                for worker in list(self._live.values()):
-                    if worker.idle() and ready:
-                        shard = ready.pop(0)
-                        if shard.preferred_worker != worker.worker_id:
-                            self.stats.steals += 1
-                            log.debug(
-                                "worker %d stole shard %d from worker %d",
-                                worker.worker_id,
-                                shard.shard_id,
-                                shard.preferred_worker,
-                            )
-                        worker.shard = shard
-                        worker.finished = set()
-                        worker.running_slot = None
-                        try:
-                            worker.task_conn.send(shard)
-                        except (OSError, BrokenPipeError):
-                            worker.shard = shard  # reap() re-queues it whole
-                            reap(worker, "died before dispatch", False)
+                        pool.spawn()
+                for worker in pool.idle_workers():
+                    if not ready:
+                        break
+                    shard = ready.pop(0)
+                    if shard.preferred_worker != worker.worker_id:
+                        self.stats.steals += 1
+                        log.debug(
+                            "worker %d stole shard %d from worker %d",
+                            worker.worker_id,
+                            shard.shard_id,
+                            shard.preferred_worker,
+                        )
+                    pool.assign(worker, shard)
 
                 if remote is not None:
                     while ready:
@@ -581,8 +742,7 @@ class ShardDispatcher:
                             ready.insert(0, shard)  # worker reaped on send
                             break
 
-                watch = [worker.result_conn for worker in self._live.values()]
-                watch += [worker.process.sentinel for worker in self._live.values()]
+                watch = pool.wait_channels()
                 if remote is not None:
                     # Wake immediately on remote traffic too; otherwise a
                     # serve-only run pays up to a tick of latency per frame.
@@ -592,95 +752,19 @@ class ShardDispatcher:
                 else:
                     sleep(_TICK_S)
 
-                for worker in list(self._live.values()):
-                    try:
-                        while worker.result_conn.poll():
-                            handle_message(worker, worker.result_conn.recv())
-                    except (EOFError, OSError):
-                        self.stats.worker_failures += 1
-                        reap(worker, "died mid-run", in_flight_failed=True)
-                        continue
-                    if not worker.process.is_alive():
-                        self.stats.worker_failures += 1
-                        reap(
-                            worker,
-                            f"died (exit code {worker.process.exitcode})",
-                            in_flight_failed=True,
-                        )
-                        continue
-                    if (
-                        self.job_timeout is not None
-                        and worker.running_slot is not None
-                        and perf_counter() - worker.running_since > self.job_timeout
-                    ):
-                        self.stats.timeouts += 1
-                        slot = worker.running_slot
-                        log.warning(
-                            "job #%d exceeded the %.2fs timeout on worker %d; "
-                            "killing the worker",
-                            slot,
-                            self.job_timeout,
-                            worker.worker_id,
-                        )
-                        worker.process.kill()
-                        reap(
-                            worker,
-                            f"timed out after {self.job_timeout:.2f}s",
-                            in_flight_failed=True,
-                        )
-
+                for event in pool.poll():
+                    handle(event)
+                    if event.kind == MSG_LOST:
+                        replace_worker(event)
                 if remote is not None:
                     for event in remote.poll():
-                        if event[0] == "done":
-                            _, slot, result, elapsed_s = event
-                            if slot in resolved:
-                                continue  # a presumed-lost job that finished
-                            resolved.add(slot)
-                            failed.pop(slot, None)
-                            results[slot] = result
-                            self.on_result(
-                                slot, result, elapsed_s, attempts.get(slot, 0) + 1
-                            )
-                        elif event[0] == "error":
-                            _, slot, reason = event
-                            if slot not in resolved:
-                                retry_or_fail(slot, reason)
-                    for shard, pending, running, reason in remote.take_orphans():
-                        for slot in running:
-                            if slot not in resolved and slot not in failed:
-                                retry_or_fail(slot, reason)
-                        if pending:
-                            log.warning(
-                                "re-queuing %d job(s) of shard %d after remote %s",
-                                len(pending),
-                                shard.shard_id,
-                                reason,
-                            )
-                            requeue(pending)
+                        handle(event)
         finally:
-            self._shutdown()
+            pool.shutdown()
 
         if failed:
             raise JobFailedError(failed)
         return results
-
-    def _shutdown(self) -> None:
-        for worker in list(self._live.values()):
-            try:
-                worker.task_conn.send(None)
-            except (OSError, BrokenPipeError):
-                pass
-        for worker in list(self._live.values()):
-            worker.process.join(timeout=5.0)
-            if worker.process.is_alive():
-                worker.process.kill()
-                worker.process.join(timeout=5.0)
-            for conn in (worker.task_conn, worker.result_conn):
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-        self._live.clear()
 
 
 def default_workers() -> int:

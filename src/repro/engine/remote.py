@@ -1,7 +1,7 @@
 """Multi-host shard dispatch: TCP coordinator + remote worker runtime.
 
-PR 9 made the engine a resilient *single-host* service; this module adds
-the multi-node fan-out from the roadmap.  A sweep started with
+This module fans the resilient single-host engine of
+:mod:`repro.engine.queue` out to many hosts.  A sweep started with
 ``repro run/sweep ... --serve HOST:PORT`` opens a listening socket next
 to its local worker pool; any machine that can reach it runs
 ``repro worker --connect HOST:PORT --workers N`` to advertise ``N``
@@ -27,7 +27,7 @@ direction     type        payload
 worker → coo  hello       version, capacity, host, pid
 coo → worker  welcome     version, job_timeout
 coo → worker  reject      reason (version mismatch, bad capacity)
-coo → worker  shard       shard, slots, jobs (base64 pickles)
+coo → worker  shard       shard, slots, jobs (JSON job specs)
 worker → coo  started     shard, slot
 worker → coo  done        shard, slot, result, elapsed_s
 worker → coo  error       shard, slot, reason, elapsed_s
@@ -36,49 +36,66 @@ worker → coo  heartbeat   --
 coo → worker  shutdown    --
 ============  =========== ==========================================
 
-Job specs cross the wire as pickles (they embed full simulator
-configs), so the protocol is for *trusted* networks — the lab cluster
-the paper's sweeps were sized for — not the open internet.
+The link carries JSON only.  A job travels as its config dict, its
+workload with every benchmark's parameters, its window, seed and key
+(:func:`encode_job`); the worker rebuilds it and refuses it if the key
+differs.  A result travels as ``SimulationResult.to_dict()``, the
+``results.jsonl`` schema.  Neither end decodes anything but JSON, so a
+worker cannot make the coordinator execute code.  The link is not
+authenticated, though: anyone who can reach a ``--serve`` port can join
+as a worker and return a wrong result, and a worker runs whatever jobs
+its coordinator sends.  The coordinator accepts ``started``, ``done``
+and ``error`` only for a slot it assigned to that worker; any other
+slot disconnects the worker as a protocol error.
 
 Failure semantics mirror the local dispatcher: a worker that drops its
 connection or misses heartbeats is reaped, its finished slots are kept,
 its in-flight job re-enters the bounded-retry path, and the rest of its
 shards are re-queued to any surviving worker (local or remote).  The
-run completes with a degradation warning instead of crashing.
+run completes with a degradation warning instead of crashing.  On the
+worker's side the simulation processes are the same
+:class:`~repro.engine.queue.WorkerPool` the coordinator runs locally.
 """
 
 from __future__ import annotations
 
-import base64
 import json
-import multiprocessing
+import math
 import os
-import pickle
 import select
 import socket
 import struct
-from dataclasses import dataclass, field
-from time import monotonic, perf_counter
+from dataclasses import replace
+from multiprocessing.connection import wait as connection_wait
+from time import monotonic
 from typing import Optional
 
+from repro.config.serialize import from_plain, to_plain
+from repro.config.system import SystemConfig
+from repro.engine.jobs import SimulationJob
 from repro.engine.queue import (
     MSG_DONE,
     MSG_ERROR,
+    MSG_LOST,
     MSG_SHARD_DONE,
     MSG_STARTED,
+    PoolEvent,
     Shard,
-    _worker_main,
+    ShardProgress,
+    WorkerPool,
 )
 from repro.obs.log import get_logger
+from repro.workloads.benchmark_suite import Benchmark
+from repro.workloads.mixes import Workload
 
 log = get_logger(__name__)
 
 #: Bump on any incompatible wire change; workers with a different
 #: version are refused at the handshake.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Hard ceiling on one frame's payload, enforced by sender and receiver.
-#: Generous for shards of pickled jobs and result dicts; small enough
+#: Generous for shards of job specs and result dicts; small enough
 #: that a corrupt length header cannot balloon into an OOM.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
@@ -190,15 +207,11 @@ def recv_frame(sock: socket.socket) -> dict:
             chunks.extend(chunk)
         return bytes(chunks)
 
-    (length,) = _HEADER.unpack(recv_exact(_HEADER.size))
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"frame payload of {length} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte limit"
-        )
     decoder = FrameDecoder()
-    messages = decoder.feed(_HEADER.pack(length) + recv_exact(length))
-    return messages[0]
+    header = recv_exact(_HEADER.size)
+    decoder.feed(header)  # refuses an oversized length before the payload
+    (length,) = _HEADER.unpack(header)
+    return decoder.feed(recv_exact(length))[0]
 
 
 def parse_hostport(text: str) -> tuple[str, int]:
@@ -220,37 +233,66 @@ def parse_hostport(text: str) -> tuple[str, int]:
 # ---------------------------------------------------------------------------
 
 
-def encode_job(job) -> str:
-    return base64.b64encode(pickle.dumps(job)).decode("ascii")
+def encode_job(job: SimulationJob) -> dict:
+    """JSON form of one job.
 
-
-def decode_job(text: str):
-    return pickle.loads(base64.b64decode(text.encode("ascii")))
-
-
-def encode_result(result) -> dict:
-    """JSON-safe envelope for one result.
-
-    :class:`~repro.sim.results.SimulationResult` travels as its
-    ``to_dict()`` form (the same schema as ``results.jsonl``, so remote
-    completions are bit-identical to local ones); anything else — test
-    doubles, plain values — falls back to a pickle.
+    The workload carries every benchmark's full parameters rather than
+    suite names, so custom benchmarks travel too; ``key`` lets the worker
+    check the job it rebuilds against the coordinator's identity.
     """
-    to_dict = getattr(result, "to_dict", None)
-    if callable(to_dict):
-        return {"kind": "simulation", "data": to_dict()}
     return {
-        "kind": "pickle",
-        "data": base64.b64encode(pickle.dumps(result)).decode("ascii"),
+        "config": job.config.to_dict(),
+        "workload": to_plain(job.workload),
+        "cycles": job.cycles,
+        "warmup": job.warmup,
+        "seed": job.seed,
+        "key": job.key(),
     }
 
 
-def decode_result(payload: dict):
-    if payload.get("kind") == "simulation":
-        from repro.sim.results import SimulationResult  # lazy: import cycle
+def decode_job(payload: dict) -> SimulationJob:
+    """Rebuild a job from :func:`encode_job` output.
 
-        return SimulationResult.from_dict(payload["data"])
-    return pickle.loads(base64.b64decode(payload["data"].encode("ascii")))
+    Raises ``ValueError`` if the rebuilt job's key differs from the one
+    sent, so a job is never simulated (and cached) under another's key.
+    """
+    workload = dict(payload["workload"])
+    workload["benchmarks"] = tuple(
+        from_plain(Benchmark, benchmark) for benchmark in workload["benchmarks"]
+    )
+    job = SimulationJob(
+        config=SystemConfig.from_dict(payload["config"]),
+        workload=from_plain(Workload, workload),
+        cycles=payload["cycles"],
+        warmup=payload["warmup"],
+        seed=payload["seed"],
+    )
+    if job.key() != payload["key"]:
+        raise ValueError(
+            f"rebuilt job key {job.key()} differs from the key sent, "
+            f"{payload['key']!r}"
+        )
+    return job
+
+
+def encode_result(result) -> dict:
+    """JSON envelope for one :class:`~repro.sim.results.SimulationResult`.
+
+    The result travels as its ``to_dict()`` form (the same schema as
+    ``results.jsonl``), so remote completions are bit-identical to local
+    ones.
+    """
+    return {"kind": "simulation", "data": result.to_dict()}
+
+
+def decode_result(payload: dict):
+    """Rebuild a result from :func:`encode_result` output; an envelope of
+    any other ``kind`` is refused."""
+    if payload.get("kind") != "simulation":
+        raise ValueError(f"unsupported result kind {payload.get('kind')!r}")
+    from repro.sim.results import SimulationResult  # lazy: import cycle
+
+    return SimulationResult.from_dict(payload["data"])
 
 
 def _configure(sock: socket.socket) -> None:
@@ -266,13 +308,6 @@ def _configure(sock: socket.socket) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _RemoteShardState:
-    shard: Shard
-    finished: set = field(default_factory=set)
-    running: Optional[int] = None
-
-
 class RemoteWorkerHandle:
     """Coordinator-side state for one connected worker."""
 
@@ -286,7 +321,7 @@ class RemoteWorkerHandle:
         self.alive = True
         self.last_seen = monotonic()
         self.label = f"{address[0]}:{address[1]}" if address else "?"
-        self.shards: dict[int, _RemoteShardState] = {}
+        self.shards: dict[int, ShardProgress] = {}
 
     def idle_capacity(self) -> int:
         return self.capacity - len(self.shards)
@@ -316,7 +351,8 @@ class RemoteCoordinator:
         self.job_timeout = job_timeout
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self._workers: dict[int, RemoteWorkerHandle] = {}
-        self._orphans: list[tuple[Shard, list[int], list[int], str]] = []
+        #: ``lost`` events for dead workers' shards, reported by poll().
+        self._lost: list[PoolEvent] = []
         self._next_id = 0
         self.ever_registered = 0
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -358,13 +394,13 @@ class RemoteCoordinator:
         return channels
 
     # -- event pump --------------------------------------------------------
-    def poll(self) -> list[tuple]:
-        """Pump the sockets once; returns completion events for the
-        dispatcher as ``("done", slot, result, elapsed_s)`` and
-        ``("error", slot, reason)`` tuples.  Dead workers' shards are
-        collected for :meth:`take_orphans`.
+    def poll(self) -> list[PoolEvent]:
+        """Pump the sockets once; returns the dispatcher's ``done`` and
+        ``error`` events, then a ``lost`` event for each shard of a worker
+        that died since the last call (its in-flight slot to retry, its
+        unstarted slots to re-queue).
         """
-        events: list[tuple] = []
+        events: list[PoolEvent] = []
         self._accept_new()
         for worker in list(self._workers.values()):
             if worker.alive:
@@ -376,15 +412,9 @@ class RemoteCoordinator:
                     worker,
                     f"missed heartbeats for {self.heartbeat_timeout_s:.0f}s",
                 )
+        events += self._lost
+        self._lost = []
         return events
-
-    def take_orphans(self) -> list[tuple[Shard, list[int], list[int], str]]:
-        """Shards lost to dead workers since the last call, as
-        ``(shard, pending_slots, running_slots, reason)``; the caller
-        re-queues pending slots and retries the in-flight ones.
-        """
-        orphans, self._orphans = self._orphans, []
-        return orphans
 
     # -- dispatch ----------------------------------------------------------
     def next_idle_worker(self) -> Optional[RemoteWorkerHandle]:
@@ -411,7 +441,7 @@ class RemoteCoordinator:
         except (OSError, FrameError) as error:
             self._disconnect(worker, f"send failed: {error}")
             return False
-        worker.shards[shard.shard_id] = _RemoteShardState(shard=shard)
+        worker.shards[shard.shard_id] = ShardProgress(shard)
         log.debug(
             "dispatched shard %d (%d jobs) to remote worker %s",
             shard.shard_id,
@@ -427,7 +457,7 @@ class RemoteCoordinator:
             if monotonic() > deadline:
                 return False
             self.poll()
-            select.select([], [], [], _TICK_S)
+            connection_wait(self.wait_channels(), timeout=_TICK_S)
         return True
 
     def close(self, send_shutdown: bool = True) -> None:
@@ -486,6 +516,8 @@ class RemoteCoordinator:
                 self._disconnect(worker, f"protocol error: {error}")
                 return
             for message in messages:
+                if not worker.alive:
+                    return
                 self._handle(worker, message, events)
 
     def _handle(self, worker: RemoteWorkerHandle, message: dict, events: list) -> None:
@@ -500,7 +532,7 @@ class RemoteCoordinator:
                     f"v{PROTOCOL_VERSION}, worker sent "
                     f"{message.get('version')!r}",
                 )
-            elif not isinstance(message.get("capacity"), int) or message["capacity"] < 1:
+            elif not _is_int(message.get("capacity")) or message["capacity"] < 1:
                 self._reject(
                     worker, f"capacity must be a positive int, got "
                     f"{message.get('capacity')!r}"
@@ -534,33 +566,50 @@ class RemoteCoordinator:
             return
         if kind == "heartbeat":
             return
-        shard_state = worker.shards.get(message.get("shard"))
+        if kind not in ("started", "done", "error", "shard_done"):
+            log.warning("ignoring unknown frame %r from %s", kind, worker.label)
+            return
+        shard_id, slot = message.get("shard"), message.get("slot")
+        state = worker.shards.get(shard_id) if _is_int(shard_id) else None
+        if kind == "shard_done":
+            if state is None or state.finished != set(state.shard.slots):
+                self._disconnect(
+                    worker, f"protocol error: shard_done for shard {shard_id!r}"
+                )
+            else:
+                del worker.shards[shard_id]
+            return
+        if (
+            state is None
+            or not _is_int(slot)
+            or slot not in state.shard.slots
+            or slot in state.finished
+        ):
+            self._disconnect(
+                worker,
+                f"protocol error: {kind} for slot {slot!r} of shard "
+                f"{shard_id!r}, which is not assigned to this worker",
+            )
+            return
+        elapsed_s = message.get("elapsed_s", 0.0)
+        if not _is_finite(elapsed_s):
+            self._disconnect(worker, f"protocol error: elapsed_s {elapsed_s!r}")
+            return
         if kind == "started":
-            if shard_state is not None:
-                shard_state.running = message.get("slot")
-        elif kind == "done":
-            slot = message["slot"]
-            if shard_state is not None:
-                shard_state.finished.add(slot)
-                if shard_state.running == slot:
-                    shard_state.running = None
+            state.start(slot)
+            return
+        state.finish(slot)
+        if kind == "error":
+            reason = str(message.get("reason", "remote error"))
+        else:
             try:
                 result = decode_result(message["result"])
             except Exception as error:  # noqa: BLE001 - surfaces as retry
-                events.append(("error", slot, f"undecodable result: {error}"))
+                reason = f"undecodable result: {error}"
             else:
-                events.append(("done", slot, result, message.get("elapsed_s", 0.0)))
-        elif kind == "error":
-            slot = message["slot"]
-            if shard_state is not None:
-                shard_state.finished.add(slot)
-                if shard_state.running == slot:
-                    shard_state.running = None
-            events.append(("error", slot, message.get("reason", "remote error")))
-        elif kind == "shard_done":
-            worker.shards.pop(message.get("shard"), None)
-        else:
-            log.warning("ignoring unknown frame %r from %s", kind, worker.label)
+                events.append(PoolEvent(MSG_DONE, state.shard, slot, result, elapsed_s))
+                return
+        events.append(PoolEvent(MSG_ERROR, state.shard, slot, reason=reason))
 
     def _reject(self, worker: RemoteWorkerHandle, reason: str) -> None:
         log.warning("refusing worker %s: %s", worker.label, reason)
@@ -587,15 +636,23 @@ class RemoteCoordinator:
             self.stats.worker_failures += 1
             log.warning("remote worker %s lost: %s", worker.label, reason)
         for state in worker.shards.values():
-            pending = [
-                slot
-                for slot in state.shard.slots
-                if slot not in state.finished and slot != state.running
-            ]
-            running = [] if state.running is None else [state.running]
             self.stats.reassignments += 1
-            self._orphans.append((state.shard, pending, running, reason))
+            self._lost.append(
+                state.lost(f"loss of remote worker {worker.label}: {reason}")
+            )
         worker.shards.clear()
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -603,52 +660,25 @@ class RemoteCoordinator:
 # ---------------------------------------------------------------------------
 
 
-def _proc_main(worker_id: int, tasks, results, close_fds=()) -> None:
-    """Child entry: drop inherited coordinator fds, then run shards.
-
-    Under the fork start method the simulation child inherits the
-    worker's TCP socket; left open, a SIGKILLed worker would only be
-    noticed by the coordinator at the heartbeat timeout instead of as an
-    immediate EOF.
-    """
-    for fd in close_fds:
-        try:
-            os.close(fd)
-        except OSError:
-            pass
-    _worker_main(worker_id, tasks, results)
-
-
-@dataclass
-class _LocalProc:
-    """One simulation process on the remote host, mirroring queue._Worker."""
-
-    proc_id: int
-    process: multiprocessing.Process
-    task_conn: object
-    result_conn: object
-    shard: Optional[Shard] = None
-    finished: set = field(default_factory=set)
-    running_slot: Optional[int] = None
-    running_since: float = 0.0
-
-    def idle(self) -> bool:
-        return self.shard is None
-
-
 class _WorkerRuntime:
-    """State machine behind :func:`run_worker`."""
+    """Bridge behind :func:`run_worker`: socket frames to a local pool.
+
+    Shards from the coordinator queue in a backlog that idle
+    :class:`~repro.engine.queue.WorkerPool` processes drain, and pool
+    events go back as frames.  The processes live across shards and
+    batches.  A process that dies or times out reports its in-flight job
+    as an ``error`` frame (entering the coordinator's bounded-retry
+    path), and the unstarted remainder of its shard re-runs here under
+    the *same* shard id, so the coordinator's bookkeeping holds.
+    """
 
     def __init__(self, sock, workers, heartbeat_s, job_timeout, stderr):
         self.sock = sock
         self.workers = workers
         self.heartbeat_s = heartbeat_s
-        self.job_timeout = job_timeout
         self.stderr = stderr
         self.decoder = FrameDecoder()
-        self._mp = multiprocessing.get_context()
-        self._procs: dict[int, _LocalProc] = {}
-        self._next_proc_id = 0
+        self.pool = WorkerPool(job_timeout=job_timeout, inherited_fds=[sock.fileno()])
         self._backlog: list[Shard] = []
         self._last_heartbeat = monotonic()
         self.jobs_done = 0
@@ -657,202 +687,89 @@ class _WorkerRuntime:
     def _say(self, text: str) -> None:
         print(text, file=self.stderr)
 
-    def _spawn(self) -> _LocalProc:
-        task_recv, task_send = self._mp.Pipe(duplex=False)
-        result_recv, result_send = self._mp.Pipe(duplex=False)
-        proc_id = self._next_proc_id
-        self._next_proc_id += 1
-        close_fds = ()
-        if self._mp.get_start_method() == "fork":
-            # Besides the TCP socket, the forked child inherits every
-            # parent-side pipe end — including the write end of its own
-            # task pipe, which would keep ``tasks.recv()`` from ever
-            # seeing EOF once this parent dies (e.g. SIGKILL), leaving
-            # an orphaned child blocked forever.
-            inherited = [self.sock.fileno(), task_send.fileno(), result_recv.fileno()]
-            for sibling in self._procs.values():
-                inherited.append(sibling.task_conn.fileno())
-                inherited.append(sibling.result_conn.fileno())
-            close_fds = tuple(inherited)
-        process = self._mp.Process(
-            target=_proc_main,
-            args=(proc_id, task_recv, result_send, close_fds),
-            name=f"repro-remote-proc-{proc_id}",
-            daemon=True,
-        )
-        process.start()
-        task_recv.close()
-        result_send.close()
-        proc = _LocalProc(
-            proc_id=proc_id,
-            process=process,
-            task_conn=task_send,
-            result_conn=result_recv,
-        )
-        self._procs[proc_id] = proc
-        return proc
-
     def _send(self, message: dict) -> None:
         send_frame(self.sock, message)
 
-    def _assign(self, proc: _LocalProc, shard: Shard) -> None:
-        proc.shard = shard
-        proc.finished = set()
-        proc.running_slot = None
-        try:
-            proc.task_conn.send(shard)
-        except (OSError, BrokenPipeError):
-            self._reap_proc(proc, "died before dispatch")
+    def _send_error(self, shard_id, slot, reason: str, elapsed_s: float) -> None:
+        self._send(
+            {
+                "type": "error",
+                "shard": shard_id,
+                "slot": slot,
+                "reason": reason,
+                "elapsed_s": elapsed_s,
+            }
+        )
 
-    def _take_shard(self, shard: Shard) -> None:
-        for proc in self._procs.values():
-            if proc.idle():
-                self._assign(proc, shard)
-                return
+    def _finish(self, shard_id) -> None:
+        self.shards_done += 1
+        self._send({"type": "shard_done", "shard": shard_id})
+
+    def _take_shard(self, message: dict) -> None:
+        """Queue a shard; a job that fails to rebuild is refused at once."""
+        shard_id = message["shard"]
+        slots, jobs = [], []
+        for slot, payload in zip(message["slots"], message["jobs"]):
+            try:
+                jobs.append(decode_job(payload))
+            except Exception as error:  # noqa: BLE001 - reported to the coordinator
+                self._send_error(shard_id, slot, f"refused job: {error}", 0.0)
+            else:
+                slots.append(slot)
+        if not slots:
+            self._finish(shard_id)
+            return
+        shard = Shard(
+            shard_id=shard_id,
+            jobs=tuple(jobs),
+            slots=tuple(slots),
+            cost=0.0,
+            preferred_worker=0,
+        )
         self._backlog.append(shard)
 
-    def _drain_backlog(self) -> None:
-        for proc in self._procs.values():
-            if not self._backlog:
-                return
-            if proc.idle():
-                self._assign(proc, self._backlog.pop(0))
-
-    def _reap_proc(self, proc: _LocalProc, reason: str) -> None:
-        """Replace a dead child; report its in-flight job, keep the rest.
-
-        The running slot goes back to the coordinator as an ``error``
-        frame (entering the bounded-retry path there); the unstarted
-        remainder of the shard re-runs locally on the replacement under
-        the *same* shard id, so the coordinator's bookkeeping holds.
-        """
-        self._procs.pop(proc.proc_id, None)
-        for conn in (proc.task_conn, proc.result_conn):
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if proc.process.is_alive():
-            proc.process.kill()
-        proc.process.join(timeout=5.0)
-        shard = proc.shard
-        replacement = self._spawn()
-        self._say(f"repro worker: simulation process {reason}; respawned")
-        if shard is None:
-            self._drain_backlog()
-            return
-        running = proc.running_slot
-        if running is not None:
-            self._send(
-                {
-                    "type": "error",
-                    "shard": shard.shard_id,
-                    "slot": running,
-                    "reason": f"simulation process {reason} on remote worker",
-                    "elapsed_s": perf_counter() - proc.running_since,
-                }
-            )
-        remaining = tuple(
-            slot
-            for slot in shard.slots
-            if slot not in proc.finished and slot != running
-        )
-        if remaining:
-            remainder = Shard(
-                shard_id=shard.shard_id,
-                jobs=tuple(
-                    job
-                    for slot, job in zip(shard.slots, shard.jobs)
-                    if slot in remaining
-                ),
-                slots=remaining,
-                cost=0.0,
-                preferred_worker=0,
-            )
-            self._assign(replacement, remainder)
-        else:
-            self._send({"type": "shard_done", "shard": shard.shard_id})
-            self.shards_done += 1
-            self._drain_backlog()
-
-    def _forward(self, proc: _LocalProc, message: tuple) -> None:
-        kind = message[0]
-        if kind == MSG_STARTED:
-            slot = message[3]
-            proc.running_slot = slot
-            proc.running_since = perf_counter()
-            self._send({"type": "started", "shard": message[2], "slot": slot})
-        elif kind == MSG_DONE:
-            _, _, shard_id, slot, result, elapsed_s = message
-            proc.finished.add(slot)
-            proc.running_slot = None
+    def _forward(self, event: PoolEvent) -> None:
+        shard = event.shard
+        shard_id = None if shard is None else shard.shard_id
+        if event.kind == MSG_STARTED:
+            self._send({"type": "started", "shard": shard_id, "slot": event.slot})
+        elif event.kind == MSG_DONE:
             self.jobs_done += 1
             self._send(
                 {
                     "type": "done",
                     "shard": shard_id,
-                    "slot": slot,
-                    "result": encode_result(result),
-                    "elapsed_s": elapsed_s,
+                    "slot": event.slot,
+                    "result": encode_result(event.result),
+                    "elapsed_s": event.elapsed_s,
                 }
             )
-        elif kind == MSG_ERROR:
-            _, _, shard_id, slot, reason, elapsed_s = message
-            proc.finished.add(slot)
-            proc.running_slot = None
-            self._send(
-                {
-                    "type": "error",
-                    "shard": shard_id,
-                    "slot": slot,
-                    "reason": reason,
-                    "elapsed_s": elapsed_s,
-                }
-            )
-        elif kind == MSG_SHARD_DONE:
-            proc.shard = None
-            proc.finished = set()
-            proc.running_slot = None
-            self.shards_done += 1
-            self._send({"type": "shard_done", "shard": message[2]})
-            self._drain_backlog()
-
-    def _tick_children(self) -> None:
-        now = perf_counter()
-        for proc in list(self._procs.values()):
-            try:
-                while proc.result_conn.poll():
-                    self._forward(proc, proc.result_conn.recv())
-            except (EOFError, OSError):
-                self._reap_proc(proc, "died mid-run")
-                continue
-            if not proc.process.is_alive():
-                self._reap_proc(
-                    proc, f"died (exit code {proc.process.exitcode})"
+        elif event.kind == MSG_ERROR:
+            self._send_error(shard_id, event.slot, event.reason, event.elapsed_s)
+        elif event.kind == MSG_SHARD_DONE:
+            self._finish(shard_id)
+        elif event.kind == MSG_LOST:
+            self.pool.spawn()
+            self._say(f"repro worker: simulation process {event.reason}; respawned")
+            if event.slot is not None:
+                reason = f"simulation process {event.reason} on remote worker"
+                self._send_error(shard_id, event.slot, reason, event.elapsed_s)
+            if event.remaining:
+                jobs = tuple(
+                    job
+                    for slot, job in zip(shard.slots, shard.jobs)
+                    if slot in event.remaining
                 )
-                continue
-            if (
-                self.job_timeout is not None
-                and proc.running_slot is not None
-                and now - proc.running_since > self.job_timeout
-            ):
-                proc.process.kill()
-                self._reap_proc(
-                    proc, f"timed out after {self.job_timeout:.2f}s"
-                )
+                remainder = replace(shard, jobs=jobs, slots=event.remaining)
+                self._backlog.insert(0, remainder)
+            elif shard is not None:
+                self._finish(shard_id)
 
     def _handle_frame(self, message: dict) -> bool:
         """React to one coordinator frame; False means shut down."""
         kind = message.get("type")
         if kind == "shard":
-            shard = Shard(
-                shard_id=message["shard"],
-                jobs=tuple(decode_job(text) for text in message["jobs"]),
-                slots=tuple(message["slots"]),
-                cost=0.0,
-                preferred_worker=0,
-            )
-            self._take_shard(shard)
+            self._take_shard(message)
             return True
         if kind == "shutdown":
             self._say("repro worker: coordinator asked for shutdown")
@@ -862,11 +779,11 @@ class _WorkerRuntime:
 
     def serve(self) -> int:
         for _ in range(self.workers):
-            self._spawn()
+            self.pool.spawn()
         try:
             while True:
-                readable, _, _ = select.select([self.sock], [], [], _TICK_S)
-                if readable:
+                watch = [self.sock, *self.pool.wait_channels()]
+                if self.sock in connection_wait(watch, timeout=_TICK_S):
                     try:
                         data = self.sock.recv(65536)
                     except (BlockingIOError, InterruptedError):
@@ -881,7 +798,12 @@ class _WorkerRuntime:
                         for message in self.decoder.feed(data):
                             if not self._handle_frame(message):
                                 return 0
-                self._tick_children()
+                for event in self.pool.poll():
+                    self._forward(event)
+                for worker in self.pool.idle_workers():
+                    if not self._backlog:
+                        break
+                    self.pool.assign(worker, self._backlog.pop(0))
                 now = monotonic()
                 if now - self._last_heartbeat >= self.heartbeat_s:
                     self._last_heartbeat = now
@@ -890,29 +812,11 @@ class _WorkerRuntime:
             self._say(f"repro worker: connection lost ({error})")
             return 0
         finally:
-            self._shutdown_children()
+            self.pool.shutdown()
             self._say(
                 f"repro worker: executed {self.jobs_done} job(s) over "
                 f"{self.shards_done} shard(s)"
             )
-
-    def _shutdown_children(self) -> None:
-        for proc in list(self._procs.values()):
-            try:
-                proc.task_conn.send(None)
-            except (OSError, BrokenPipeError):
-                pass
-        for proc in list(self._procs.values()):
-            proc.process.join(timeout=5.0)
-            if proc.process.is_alive():
-                proc.process.kill()
-                proc.process.join(timeout=5.0)
-            for conn in (proc.task_conn, proc.result_conn):
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-        self._procs.clear()
 
 
 def run_worker(

@@ -3,12 +3,14 @@
 The loopback drills run real simulation jobs through a serve-only
 coordinator and ``run_worker`` child processes — the same code path as
 ``repro worker`` — and hold the engine to its core guarantee: results
-bit-identical to serial execution, through worker SIGKILL and late joins.
+bit-identical to serial execution, through worker SIGKILL, the SIGKILL of
+one simulation process inside a worker, and late joins.
 """
 
 import multiprocessing
 import os
 import signal
+import threading
 from time import monotonic, sleep
 
 import pytest
@@ -64,6 +66,23 @@ def reap(*processes, timeout_s: float = 30.0) -> None:
             process.join(timeout=5.0)
 
 
+def child_pids(pid: int) -> list[int]:
+    """PIDs whose parent is ``pid``, read from Linux ``/proc``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        # Field 4 is the parent PID; field 2 (the name) may hold spaces.
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
 @pytest.fixture(scope="module")
 def serial_results():
     return SerialExecutor().run(job_batch())
@@ -95,7 +114,6 @@ class TestLoopbackDispatch:
         # rather than falling back to a local worker.
         executor = ParallelExecutor(workers=0, serve=("127.0.0.1", 0))
         port = executor.coordinator.port
-        import threading
 
         outcome = {}
 
@@ -152,6 +170,51 @@ class TestLoopbackDispatch:
         replayed = resumed.run(job_batch(), store=SqliteStore(store.path))
         assert replayed == serial_results
         assert resumed.stats.simulated == 0
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs Linux /proc")
+    def test_sigkill_of_a_simulation_process_is_retried_on_the_worker(
+        self, serial_results
+    ):
+        # Kill one simulation process inside the remote worker, not the
+        # worker itself: the worker's pool reports the in-flight job as
+        # an error frame (the coordinator retries that slot), re-runs the
+        # rest of the shard on a respawned process, and stays connected.
+        executor = ParallelExecutor(
+            workers=0, serve=("127.0.0.1", 0), min_workers=1, retry_backoff_s=0.01
+        )
+        coordinator = executor.coordinator
+        worker = spawn_worker(coordinator.port)
+        killed = []
+        finished = threading.Event()
+
+        def assassin() -> None:
+            # Strike once the coordinator has seen a job start remotely.
+            while not killed and not finished.wait(0.01):
+                for remote in coordinator.live_workers():
+                    shards = list(remote.shards.values())
+                    if any(state.running is not None for state in shards):
+                        for pid in child_pids(worker.pid):
+                            os.kill(pid, signal.SIGKILL)
+                            killed.append(pid)
+
+        thread = threading.Thread(target=assassin)
+        thread.start()
+        try:
+            results = executor.run(job_batch())
+            still_registered = coordinator.live_count()
+        finally:
+            finished.set()
+            thread.join(timeout=10)
+            executor.shutdown_remote()
+            reap(worker)
+
+        assert killed, "no simulation process was ever caught mid-job"
+        assert results == serial_results
+        assert executor.stats.retries >= 1
+        assert executor.stats.worker_failures == 0
+        assert executor.stats.reassignments == 0
+        assert still_registered == 1
+        assert executor.stats.remote_workers == 1
 
 
 class TestCostModel:

@@ -1,19 +1,26 @@
 """Wire-protocol tests for the multi-host shard dispatch layer.
 
 Covers the framing codec (partial feeds, oversized rejection, truncated
-connections), ``HOST:PORT`` parsing, the job/result envelopes, and the
+connections), ``HOST:PORT`` parsing, the JSON job/result envelopes, the
 coordinator's handshake discipline — version mismatches and malformed
-hellos must be refused with a ``reject`` frame, never accepted or hung.
+hellos must be refused with a ``reject`` frame, never accepted or hung —
+and its slot check: a worker reporting on a slot it was never assigned
+is disconnected, and its result never reaches the dispatcher.
 """
 
+import base64
+import json
+import pickle
 import select
 import socket
+import threading
 from time import monotonic
 
 import pytest
 
 from repro.engine.executor import ExecutorStats
-from repro.engine.jobs import SimulationJob
+from repro.engine.jobs import SimulationJob, execute_job
+from repro.engine.queue import MSG_LOST, Shard, ShardDispatcher
 from repro.engine.remote import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -29,8 +36,12 @@ from repro.engine.remote import (
     recv_frame,
     send_frame,
 )
+from repro.workloads.benchmark_suite import Benchmark, get_benchmark
+from repro.workloads.mixes import make_workload
 
 from tests.conftest import quick_run, small_system, small_workload
+
+MB = 1024 * 1024
 
 
 class TestFraming:
@@ -128,29 +139,76 @@ class TestParseHostport:
             parse_hostport(text)
 
 
+def over_the_wire(payload):
+    """What the far end of a link decodes: the payload through JSON."""
+    return json.loads(json.dumps(payload))
+
+
+def small_job(mechanism="darp", workload=None, seed=3) -> SimulationJob:
+    return SimulationJob(
+        config=small_system(mechanism),
+        workload=workload or small_workload(),
+        cycles=900,
+        warmup=100,
+        seed=seed,
+    )
+
+
+#: Set when the booby-trapped envelope below is ever unpickled.
+_UNPICKLED = []
+
+
+class _Trap:
+    def __reduce__(self):
+        return (_UNPICKLED.append, ("unpickled",))
+
+
 class TestPayloadEnvelopes:
     def test_job_round_trip(self):
-        job = SimulationJob(
-            config=small_system("darp"),
-            workload=small_workload(),
-            cycles=900,
-            warmup=100,
-            seed=3,
-        )
-        clone = decode_job(encode_job(job))
+        job = small_job()
+        clone = decode_job(over_the_wire(encode_job(job)))
         assert clone == job
         assert clone.key() == job.key()
+
+    def test_custom_benchmark_job_round_trips(self):
+        # A benchmark outside the suite travels with all of its fields,
+        # not as a name the worker would have to look up.
+        kv_store = Benchmark(
+            name="kv_store_like",
+            pattern="mixed",
+            footprint_bytes=192 * MB,
+            memory_fraction=0.03,
+            write_fraction=0.40,
+            intensive=True,
+            dependent_fraction=0.6,
+        )
+        workload = make_workload([kv_store, get_benchmark("stream_copy")])
+        job = small_job("dsarp", workload=workload)
+        clone = decode_job(over_the_wire(encode_job(job)))
+        assert clone == job
+        assert clone.workload.benchmarks[0] == kv_store
+        assert clone.key() == job.key()
+
+    def test_job_whose_rebuilt_key_differs_is_refused(self):
+        payload = over_the_wire(encode_job(small_job()))
+        payload["seed"] += 1  # the key still names the original job
+        with pytest.raises(ValueError, match="key"):
+            decode_job(payload)
 
     def test_simulation_result_travels_as_canonical_dict(self):
         result = quick_run("refab", cycles=1200, warmup=200)
         envelope = encode_result(result)
         assert envelope["kind"] == "simulation"
-        assert decode_result(envelope) == result
+        assert decode_result(over_the_wire(envelope)) == result
 
-    def test_plain_values_fall_back_to_pickle(self):
-        envelope = encode_result(("fake", 42))
-        assert envelope["kind"] == "pickle"
-        assert decode_result(envelope) == ("fake", 42)
+    def test_pickle_result_envelope_is_refused_not_unpickled(self):
+        envelope = {
+            "kind": "pickle",
+            "data": base64.b64encode(pickle.dumps(_Trap())).decode("ascii"),
+        }
+        with pytest.raises(ValueError, match="unsupported result kind"):
+            decode_result(envelope)
+        assert _UNPICKLED == []
 
 
 def _await_reply(coordinator, client, timeout_s=10.0):
@@ -242,3 +300,129 @@ class TestHandshake:
             assert "hello" in reply["reason"]
         finally:
             client.close()
+
+
+def _join(coordinator) -> socket.socket:
+    """Connect a hand-driven worker and complete its handshake."""
+    client = _connect(coordinator)
+    send_frame(
+        client,
+        {"type": "hello", "version": PROTOCOL_VERSION, "capacity": 1},
+    )
+    assert _await_reply(coordinator, client)["type"] == "welcome"
+    return client
+
+
+def _pump_until_closed(coordinator, client, timeout_s=10.0) -> list:
+    """Pump the coordinator until it drops ``client``; returns its events."""
+    events = []
+    deadline = monotonic() + timeout_s
+    while monotonic() < deadline:
+        events += coordinator.poll()
+        readable, _, _ = select.select([client], [], [], 0.05)
+        if readable and not client.recv(65536):
+            return events + coordinator.poll()
+    raise AssertionError("coordinator never disconnected the worker")
+
+
+class TestSlotCheck:
+    """A worker may only report on slots of shards assigned to it."""
+
+    @pytest.mark.parametrize(
+        "kind, slot",
+        [
+            ("done", None),
+            ("done", -1),
+            ("done", 5),
+            ("done", True),  # a JSON boolean is not slot 1
+            ("error", -1),
+            ("error", 5),
+            ("started", 5),
+        ],
+    )
+    def test_unassigned_slot_disconnects_the_worker(self, coordinator, kind, slot):
+        client = _join(coordinator)
+        try:
+            worker = coordinator.live_workers()[0]
+            shard = Shard(
+                shard_id=0,
+                jobs=(small_job(),),
+                slots=(1,),
+                cost=1.0,
+                preferred_worker=0,
+            )
+            assert coordinator.dispatch(worker, shard)
+            client.setblocking(True)
+            assert recv_frame(client)["type"] == "shard"
+            frame = {"type": kind, "shard": 0, "elapsed_s": 0.1}
+            if slot is not None:
+                frame["slot"] = slot
+            if kind == "done":
+                frame["result"] = encode_result(quick_run(cycles=600, warmup=100))
+            send_frame(client, frame)
+            events = _pump_until_closed(coordinator, client)
+        finally:
+            client.close()
+        assert [event.kind for event in events] == [MSG_LOST]
+        assert events[0].remaining == (1,)
+        assert coordinator.live_count() == 0
+        assert coordinator.stats.worker_failures == 1
+        assert coordinator.stats.reassignments == 1
+
+    def test_frame_for_a_shard_never_assigned_disconnects(self, coordinator):
+        client = _join(coordinator)
+        try:
+            send_frame(client, {"type": "started", "shard": 7, "slot": 0})
+            events = _pump_until_closed(coordinator, client)
+        finally:
+            client.close()
+        assert events == []
+        assert coordinator.live_count() == 0
+        assert coordinator.stats.worker_failures == 1
+
+    def test_foreign_result_never_reaches_on_result(self, coordinator):
+        # A rogue worker answers its shard with a "done" for slot -1,
+        # which would index the last job of the batch.  The coordinator
+        # must drop the worker instead, and the batch must still finish
+        # with every job's own result (on a local fallback worker).
+        jobs = [small_job(seed=seed) for seed in (0, 1)]
+        forged = encode_result(quick_run(cycles=600, warmup=100))
+        client = _join(coordinator)
+        client.setblocking(True)
+
+        def rogue():
+            try:
+                shard = recv_frame(client)
+                send_frame(
+                    client,
+                    {
+                        "type": "done",
+                        "shard": shard["shard"],
+                        "slot": -1,
+                        "result": forged,
+                        "elapsed_s": 0.1,
+                    },
+                )
+                while client.recv(65536):
+                    pass
+            except OSError:
+                pass
+
+        thread = threading.Thread(target=rogue)
+        thread.start()
+        delivered = []
+        dispatcher = ShardDispatcher(
+            workers=0,
+            stats=coordinator.stats,
+            on_result=lambda slot, result, *_: delivered.append((slot, result)),
+            remote=coordinator,
+        )
+        try:
+            results = dispatcher.run(jobs)
+        finally:
+            client.close()
+            thread.join(timeout=10)
+        assert results == [execute_job(job) for job in jobs]
+        assert sorted(slot for slot, _ in delivered) == [0, 1]
+        assert all(result == results[slot] for slot, result in delivered)
+        assert coordinator.stats.worker_failures == 1
