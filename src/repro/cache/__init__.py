@@ -7,6 +7,13 @@ parallelization exploits.
 """
 
 from repro.cache.llc import LastLevelCache
-from repro.cache.set_assoc import CacheAccessResult, SetAssociativeCache
+from repro.cache.set_assoc import CacheAccessResult, CacheSnapshot, SetAssociativeCache
+from repro.cache.warm import WarmStates
 
-__all__ = ["SetAssociativeCache", "CacheAccessResult", "LastLevelCache"]
+__all__ = [
+    "SetAssociativeCache",
+    "CacheAccessResult",
+    "CacheSnapshot",
+    "LastLevelCache",
+    "WarmStates",
+]

@@ -26,6 +26,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import repro.obs.profile as obs_profile
+from repro.cache.warm import WarmStates
 from repro.engine.jobs import SimulationJob, execute_job
 from repro.engine.progress import (
     SOURCE_SIMULATED,
@@ -182,13 +183,21 @@ class JobExecutor(ABC):
 
 
 class SerialExecutor(JobExecutor):
-    """Runs every job in-process, one after another."""
+    """Runs every job in-process, one after another.
+
+    The executor keeps one holder of warmed LLC states for all its
+    batches, so each distinct cache warmup runs once per executor.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.warm_states = WarmStates()
 
     def _execute_pending(self, pending, total, progress, store):
         results = []
         for index, job in pending:
             job_start = perf_counter()
-            result = execute_job(job)
+            result = execute_job(job, self.warm_states)
             elapsed_s = perf_counter() - job_start
             _record_job_span(job, elapsed_s)
             results.append(result)

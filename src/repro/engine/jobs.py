@@ -14,13 +14,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from repro.config.system import SystemConfig
 from repro.obs.log import get_logger
 from repro.workloads.mixes import Workload
 
 if TYPE_CHECKING:  # avoid repro.sim <-> repro.engine import cycle
+    from repro.cache.warm import WarmStates
     from repro.sim.results import SimulationResult
 
 log = get_logger(__name__)
@@ -82,8 +83,13 @@ class SimulationJob:
             max(1, self.config.cpu.num_cores)
         )
 
-    def run(self) -> "SimulationResult":
+    def run(self, warm_states: Optional["WarmStates"] = None) -> "SimulationResult":
         """Execute the simulation this job describes.
+
+        ``warm_states`` is the running process's holder of warmed LLC
+        states; passing the same one to every job lets jobs that share a
+        benchmark and warm seed skip each other's cache warmups.  Results
+        are identical with or without it.
 
         When the configuration arms the tracer and names a trace
         directory, the trace is persisted next to the result — this also
@@ -102,7 +108,9 @@ class SimulationJob:
             self.cycles,
             self.seed,
         )
-        simulator = Simulator(self.config, self.workload, seed=self.seed)
+        simulator = Simulator(
+            self.config, self.workload, seed=self.seed, warm_states=warm_states
+        )
         result = simulator.run(self.cycles, warmup=self.warmup)
         obs = self.config.obs
         if obs.trace and obs.trace_dir:
@@ -154,6 +162,8 @@ class SimulationJob:
         )
 
 
-def execute_job(job: SimulationJob) -> "SimulationResult":
+def execute_job(
+    job: SimulationJob, warm_states: Optional["WarmStates"] = None
+) -> "SimulationResult":
     """Module-level entry point for process-pool workers (picklable)."""
-    return job.run()
+    return job.run(warm_states)

@@ -39,6 +39,7 @@ from multiprocessing.connection import wait as connection_wait
 from time import perf_counter, sleep
 from typing import Callable, Optional, Sequence
 
+from repro.cache.warm import WarmStates
 from repro.engine.jobs import execute_job
 from repro.obs.log import get_logger
 
@@ -243,6 +244,9 @@ def _worker_main(worker_id: int, tasks, results, close_fds=()) -> None:
             os.close(fd)
         except OSError:
             pass
+    # One holder for every job this process runs: jobs sharing a
+    # benchmark and warm seed restore each other's warmed LLCs.
+    warm_states = WarmStates()
     while True:
         try:
             shard = tasks.recv()
@@ -254,7 +258,7 @@ def _worker_main(worker_id: int, tasks, results, close_fds=()) -> None:
             results.send((MSG_STARTED, worker_id, shard.shard_id, slot))
             start = perf_counter()
             try:
-                result = execute_job(job)
+                result = execute_job(job, warm_states)
             except Exception as error:  # noqa: BLE001 - reported to the parent
                 results.send(
                     (

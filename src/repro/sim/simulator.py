@@ -14,6 +14,7 @@ from typing import Optional
 
 import repro.obs.profile as obs_profile
 from repro.cache.llc import LastLevelCache
+from repro.cache.warm import WarmStates
 from repro.config.system import SystemConfig
 from repro.controller.memory_controller import MemorySystem
 from repro.cpu.core_model import CORE_ACTIVE, CORE_GAP, Core
@@ -31,10 +32,14 @@ class Simulator:
         workload: Workload,
         seed: int = 0,
         functional_warmup_accesses: Optional[int] = None,
+        warm_states: Optional[WarmStates] = None,
     ):
         self.config = config
         self.workload = workload
         self.seed = seed
+        #: Warmed LLC states this simulation restores from (and adds to);
+        #: a caller running many simulations passes one holder to them all.
+        self.warm_states = warm_states if warm_states is not None else WarmStates()
         self.memory = MemorySystem(config)
         self.power_model = DRAMPowerModel(config.dram)
         capacity = self.memory.mapper.capacity_bytes
@@ -90,21 +95,37 @@ class Simulator:
         accesses through the cache model only — no DRAM cycles are
         simulated — and uses a distinct trace instance so the timed run
         still consumes the benchmark's trace from its beginning.
+
+        The warmed state is a pure function of the cache geometry, the
+        benchmark, the warm seed, the access count and the address offset.
+        The offset splits into a whole number of cache spans (which only
+        shifts every tag) and a residue, so the state is warmed once per
+        residue in :attr:`warm_states` and restored, tags shifted, into
+        every LLC that needs it.
         """
-        cache_lines = self.config.cache.size_bytes // self.config.cache.line_bytes
+        cache = self.config.cache
+        cache_lines = cache.size_bytes // cache.line_bytes
         if accesses is None:
-            footprint_lines = max(
-                1,
-                benchmark.footprint_bytes // self.config.cache.line_bytes,
-            )
+            footprint_lines = max(1, benchmark.footprint_bytes // cache.line_bytes)
             accesses = min(3 * cache_lines, 4 * footprint_lines)
         if accesses <= 0:
             return
-        warm_trace = benchmark.trace(seed=self.workload.seed + self.seed + 7919)
-        for _ in range(accesses):
-            entry = next(warm_trace)
-            llc.access(llc.line_address(address_offset + entry.address), entry.is_write)
-        llc.reset_stats()
+        seed = self.workload.seed + self.seed + 7919
+        # One tag step: the address distance that maps back onto a set.
+        span = cache.line_bytes * cache.num_sets
+        tag_base, residue = divmod(address_offset, span)
+
+        def warm():
+            scratch = LastLevelCache(cache)
+            access = scratch.access
+            warm_trace = benchmark.trace(seed=seed)
+            for _ in range(accesses):
+                entry = next(warm_trace)
+                access(residue + entry.address, entry.is_write)
+            return scratch.snapshot()
+
+        key = (cache.fingerprint(), benchmark, seed, accesses, residue)
+        llc.restore(self.warm_states.fetch(key, warm), tag_base)
 
     # -- execution -------------------------------------------------------------
     def step(self) -> None:

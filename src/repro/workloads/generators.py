@@ -52,14 +52,10 @@ def _entry(
     write_fraction: float,
     dependent_fraction: float,
 ) -> TraceEntry:
+    # Draw order (write, dependence, gap) is part of every trace's identity.
     is_write = rng.random() < write_fraction
     depends = (not is_write) and rng.random() < dependent_fraction
-    return TraceEntry(
-        gap=_gap(rng, memory_fraction),
-        address=address,
-        is_write=is_write,
-        depends=depends,
-    )
+    return TraceEntry(_gap(rng, memory_fraction), address, is_write, depends)
 
 
 def streaming_trace(

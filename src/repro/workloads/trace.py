@@ -9,13 +9,16 @@ region of physical memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    """One memory instruction and the non-memory instructions before it."""
+class TraceEntry(NamedTuple):
+    """One memory instruction and the non-memory instructions before it.
+
+    An immutable record that is cheap to build positionally, since the
+    generators build one per access (for the timed run and for every
+    LLC warmup).
+    """
 
     #: Number of non-memory instructions executed before this access.
     gap: int

@@ -1,11 +1,18 @@
 """Unit and property tests for the last-level cache."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.llc import LastLevelCache
-from repro.cache.set_assoc import SetAssociativeCache
+from repro.cache.set_assoc import HIT, MISS, SetAssociativeCache
+from repro.cache.warm import WarmStates
 from repro.config.cpu_config import CacheConfig
+from repro.config.presets import paper_system
+from repro.sim.simulator import Simulator
+from repro.workloads.benchmark_suite import Benchmark, get_benchmark
+from repro.workloads.mixes import make_workload
 
 
 def small_cache(size=8 * 1024, assoc=4, line=64) -> SetAssociativeCache:
@@ -61,6 +68,17 @@ class TestSetAssociativeCache:
             cache.access(i * 64, is_write=False)
         result = cache.access(4 * 64, is_write=False)
         assert result.writeback_address == 0
+
+    def test_outcomes_without_writeback_are_shared_constants(self):
+        cache = small_cache(size=4 * 64, assoc=4, line=64)
+        assert cache.access(0, is_write=True) is MISS
+        assert cache.access(0, is_write=False) is HIT
+        for i in range(1, 4):
+            cache.access(i * 64, is_write=False)
+        evicting = cache.access(4 * 64, is_write=False)
+        assert evicting is not MISS
+        assert not evicting.hit and evicting.writeback_address == 0
+        assert MISS.writeback_address is None
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
@@ -120,3 +138,159 @@ class TestLastLevelCache:
     def test_mpki_zero_for_no_instructions(self):
         llc = LastLevelCache(CacheConfig())
         assert llc.mpki(0) == 0.0
+
+
+# -- snapshot / restore and the warm-state holder ---------------------------
+
+SMALL = CacheConfig(size_bytes=8 * 1024, associativity=4, line_bytes=64)
+SPAN = SMALL.line_bytes * SMALL.num_sets
+
+
+def resident(llc: LastLevelCache) -> list:
+    """Every set's ``(tag, dirty)`` items in LRU order."""
+    return [list(cache_set.items()) for cache_set in llc._cache._sets]
+
+
+def random_accesses(count: int = 3000, seed: int = 3) -> list:
+    rng = random.Random(seed)
+    return [(rng.randrange(64 * SPAN), rng.random() < 0.4) for _ in range(count)]
+
+
+def warmed_directly(accesses, offset: int, config: CacheConfig = SMALL):
+    llc = LastLevelCache(config)
+    for address, is_write in accesses:
+        llc.access(llc.line_address(offset + address), is_write)
+    llc.reset_stats()
+    return llc
+
+
+def warm_simulator(warm_states: WarmStates) -> Simulator:
+    config = paper_system(density_gb=8, mechanism="none", num_cores=1)
+    workload = make_workload([get_benchmark("gcc_like")])
+    return Simulator(
+        config, workload, functional_warmup_accesses=0, warm_states=warm_states
+    )
+
+
+def warmed_by_simulator(sim: Simulator, benchmark, offset: int, accesses: int):
+    llc = LastLevelCache(sim.config.cache)
+    sim._functional_warmup(llc, benchmark, offset, accesses)
+    return llc
+
+
+def warmed_reference(sim: Simulator, benchmark, offset: int, accesses: int):
+    """The warmup without reuse: stream the warm trace at the real offset."""
+    trace = benchmark.trace(seed=sim.workload.seed + sim.seed + 7919)
+    entries = [next(trace) for _ in range(accesses)]
+    return warmed_directly(
+        [(entry.address, entry.is_write) for entry in entries],
+        offset,
+        sim.config.cache,
+    )
+
+
+class TestSnapshotRestore:
+    @pytest.mark.parametrize("residue", [0, 7 * 64, 1000])
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    def test_restore_with_tag_shift_equals_warming_at_the_offset(self, k, residue):
+        accesses = random_accesses()
+        snapshot = warmed_directly(accesses, residue).snapshot()
+        restored = LastLevelCache(SMALL)
+        restored.restore(snapshot, k)
+        direct = warmed_directly(accesses, k * SPAN + residue)
+        assert resident(restored) == resident(direct)
+
+    def test_restored_caches_share_no_sets(self):
+        snapshot = warmed_directly(random_accesses(), 0).snapshot()
+        first, second = LastLevelCache(SMALL), LastLevelCache(SMALL)
+        first.restore(snapshot)
+        second.restore(snapshot)
+        assert resident(first) == resident(second)
+        assert all(a is not b for a, b in zip(first._cache._sets, second._cache._sets))
+        before = resident(second)
+        for address, is_write in random_accesses(500, seed=9):
+            first.access(address, is_write)
+        assert resident(second) == before
+        third = LastLevelCache(SMALL)
+        third.restore(snapshot)
+        assert resident(third) == before
+
+    def test_restore_resets_statistics_and_keeps_dirty_flags_boolean(self):
+        snapshot = warmed_directly(random_accesses(), 0).snapshot()
+        llc = LastLevelCache(SMALL)
+        llc.access(0, is_write=True)
+        llc.restore(snapshot)
+        assert (llc.hits, llc.misses, llc.writebacks) == (0, 0, 0)
+        flags = {type(dirty) for items in resident(llc) for _, dirty in items}
+        assert flags == {bool}
+
+    def test_restore_rejects_another_geometry(self):
+        snapshot = LastLevelCache(SMALL).snapshot()
+        with pytest.raises(ValueError):
+            LastLevelCache(CacheConfig()).restore(snapshot)
+
+
+class TestWarmStates:
+    def test_fetch_warms_once_then_serves_the_stored_snapshot(self):
+        holder = WarmStates()
+        calls = []
+
+        def warm():
+            calls.append(1)
+            return LastLevelCache(SMALL).snapshot()
+
+        first = holder.fetch("a", warm)
+        assert holder.fetch("a", warm) is first
+        assert len(calls) == 1
+        assert (holder.hits, holder.misses, len(holder)) == (1, 1, 1)
+
+    def test_least_recently_used_snapshot_is_evicted(self, monkeypatch):
+        monkeypatch.setattr(WarmStates, "CAPACITY", 2)
+        holder = WarmStates()
+        snapshot = LastLevelCache(SMALL).snapshot()
+        for key in ("a", "b", "a", "c"):
+            holder.fetch(key, lambda: snapshot)
+        assert len(holder) == 2
+        warmed = []
+        holder.fetch("a", lambda: warmed.append("a") or snapshot)
+        holder.fetch("b", lambda: warmed.append("b") or snapshot)
+        assert warmed == ["b"]
+
+    def test_holder_restores_equal_direct_warming(self):
+        holder = WarmStates()
+        sim = warm_simulator(holder)
+        span = sim.config.cache.line_bytes * sim.config.cache.num_sets
+        benchmark = get_benchmark("mcf_like")
+        for k in (0, 1, 3, 64):
+            for residue in (0, 64, 1000):
+                offset = k * span + residue
+                warmed = warmed_by_simulator(sim, benchmark, offset, 3000)
+                reference = warmed_reference(sim, benchmark, offset, 3000)
+                assert resident(warmed) == resident(reference)
+        # One warmup per residue; every other offset is a tag shift.
+        assert (holder.misses, holder.hits) == (3, 9)
+
+    def test_eviction_leaves_results_unchanged(self, monkeypatch):
+        benchmarks = [get_benchmark("gcc_like"), get_benchmark("hmmer_like")]
+        roomy = warm_simulator(WarmStates())
+        monkeypatch.setattr(WarmStates, "CAPACITY", 1)
+        tight_holder = WarmStates()
+        tight = warm_simulator(tight_holder)
+        for round_ in range(2):
+            for index, benchmark in enumerate(benchmarks):
+                offset = (round_ * 2 + index) * (1 << 30)
+                evicted = warmed_by_simulator(tight, benchmark, offset, 2000)
+                kept = warmed_by_simulator(roomy, benchmark, offset, 2000)
+                assert resident(evicted) == resident(kept)
+        assert tight_holder.hits == 0 and len(tight_holder) == 1
+
+    def test_custom_benchmarks_sharing_a_name_do_not_share_state(self):
+        small = Benchmark("custom", "random", 64 * 1024, 0.05, 0.3, False)
+        large = Benchmark("custom", "random", 16 * 1024 * 1024, 0.05, 0.3, False)
+        holder = WarmStates()
+        sim = warm_simulator(holder)
+        for benchmark in (small, large):
+            warmed = warmed_by_simulator(sim, benchmark, 0, 3000)
+            reference = warmed_reference(sim, benchmark, 0, 3000)
+            assert resident(warmed) == resident(reference)
+        assert holder.misses == 2 and holder.hits == 0

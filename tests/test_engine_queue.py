@@ -15,7 +15,11 @@ from repro.engine.queue import (
 
 
 class FakeJob:
-    """Picklable stand-in returning its value; cost is configurable."""
+    """Picklable stand-in returning its value; cost is configurable.
+
+    ``run`` takes the worker process's warmed-LLC holder, as
+    :meth:`~repro.engine.jobs.SimulationJob.run` does, and ignores it.
+    """
 
     def __init__(self, value, cost=1.0):
         self.value = value
@@ -24,7 +28,7 @@ class FakeJob:
     def estimated_cost(self):
         return self.cost
 
-    def run(self):
+    def run(self, warm_states=None):
         return self.value
 
 
@@ -35,7 +39,7 @@ class SleepyJob(FakeJob):
         super().__init__(value)
         self.duration_s = duration_s
 
-    def run(self):
+    def run(self, warm_states=None):
         time.sleep(self.duration_s)
         return self.value
 
@@ -43,7 +47,7 @@ class SleepyJob(FakeJob):
 class HangingJob(FakeJob):
     """Never finishes inside any reasonable test budget."""
 
-    def run(self):
+    def run(self, warm_states=None):
         time.sleep(600)
         return self.value
 
@@ -55,7 +59,7 @@ class CrashOnceJob(FakeJob):
         super().__init__(value)
         self.marker_path = str(marker_path)
 
-    def run(self):
+    def run(self, warm_states=None):
         if not os.path.exists(self.marker_path):
             with open(self.marker_path, "w") as handle:
                 handle.write("attempted")
@@ -64,7 +68,7 @@ class CrashOnceJob(FakeJob):
 
 
 class AlwaysFailsJob(FakeJob):
-    def run(self):
+    def run(self, warm_states=None):
         raise RuntimeError("permanent fault")
 
 
