@@ -1532,10 +1532,10 @@ def _intensive_8core_format(payload) -> str:
             f"({row['speedup']:4.2f}x, floor {floor}x)"
         )
     lines.append(
-        "  DSARP's ratio is capped by its per-cycle refresh draws (the event"
+        "  DSARP's draw mode takes ~24% more kernel steps than REFab; its draw"
     )
     lines.append(
-        "  kernel replays them for bit-identity); see README 'Hot path'."
+        "  ticks are ~5% of the cell, window install ~30%; see README 'Hot path'."
     )
     return "\n".join(lines)
 

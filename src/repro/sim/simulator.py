@@ -9,11 +9,13 @@ instructions (``issue_width * cpu_cycles_per_dram_cycle``).
 
 from __future__ import annotations
 
+from itertools import islice
 from time import perf_counter
 from typing import Optional
 
 import repro.obs.profile as obs_profile
 from repro.cache.llc import LastLevelCache
+from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.warm import WarmStates
 from repro.config.system import SystemConfig
 from repro.controller.memory_controller import MemorySystem
@@ -116,12 +118,10 @@ class Simulator:
         tag_base, residue = divmod(address_offset, span)
 
         def warm():
-            scratch = LastLevelCache(cache)
-            access = scratch.access
-            warm_trace = benchmark.trace(seed=seed)
-            for _ in range(accesses):
-                entry = next(warm_trace)
-                access(residue + entry.address, entry.is_write)
+            scratch = SetAssociativeCache(
+                cache.size_bytes, cache.associativity, cache.line_bytes
+            )
+            scratch.fill(islice(benchmark.trace(seed=seed), accesses), residue)
             return scratch.snapshot()
 
         key = (cache.fingerprint(), benchmark, seed, accesses, residue)

@@ -13,12 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.workloads.generators import (
-    mixed_trace,
-    random_trace,
-    streaming_trace,
-    strided_trace,
-)
+from repro.workloads.generators import GENERATORS, LINE_BYTES
 from repro.workloads.trace import TraceEntry
 
 KB = 1024
@@ -40,42 +35,39 @@ class Benchmark:
     #: (pointer chasing); higher values make the benchmark latency-bound.
     dependent_fraction: float = 0.3
 
+    def __post_init__(self) -> None:
+        # Benchmarks also arrive over the remote wire, so a bad field must
+        # fail here, by name, not as an arithmetic error deep in a warmup.
+        if self.pattern not in GENERATORS:
+            known = ", ".join(sorted(GENERATORS))
+            raise ValueError(f"unknown pattern {self.pattern!r}; known: {known}")
+        if not 0.0 < self.memory_fraction <= 1.0:
+            raise ValueError(
+                f"memory_fraction must be in (0, 1], got {self.memory_fraction!r}"
+            )
+        for name in ("write_fraction", "dependent_fraction"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+        if self.footprint_bytes < LINE_BYTES:
+            raise ValueError(
+                f"footprint_bytes must be at least one {LINE_BYTES} B line, "
+                f"got {self.footprint_bytes!r}"
+            )
+        if self.pattern == "strided" and self.stride_bytes < LINE_BYTES:
+            raise ValueError(
+                f"stride_bytes must be at least one {LINE_BYTES} B line, "
+                f"got {self.stride_bytes!r}"
+            )
+
     def trace(self, seed: int = 0) -> Iterator[TraceEntry]:
         """Instantiate the benchmark's (infinite, reproducible) trace."""
-        if self.pattern == "streaming":
-            return streaming_trace(
-                self.footprint_bytes,
-                self.memory_fraction,
-                self.write_fraction,
-                seed=seed,
-                dependent_fraction=self.dependent_fraction,
-            )
+        options = {"seed": seed, "dependent_fraction": self.dependent_fraction}
         if self.pattern == "strided":
-            return strided_trace(
-                self.footprint_bytes,
-                self.memory_fraction,
-                self.write_fraction,
-                stride_bytes=self.stride_bytes,
-                seed=seed,
-                dependent_fraction=self.dependent_fraction,
-            )
-        if self.pattern == "random":
-            return random_trace(
-                self.footprint_bytes,
-                self.memory_fraction,
-                self.write_fraction,
-                seed=seed,
-                dependent_fraction=self.dependent_fraction,
-            )
-        if self.pattern == "mixed":
-            return mixed_trace(
-                self.footprint_bytes,
-                self.memory_fraction,
-                self.write_fraction,
-                seed=seed,
-                dependent_fraction=self.dependent_fraction,
-            )
-        raise ValueError(f"unknown pattern {self.pattern!r}")
+            options["stride_bytes"] = self.stride_bytes
+        return GENERATORS[self.pattern](
+            self.footprint_bytes, self.memory_fraction, self.write_fraction, **options
+        )
 
     @property
     def mpki_class(self) -> str:

@@ -18,11 +18,19 @@ the memory behaviour classes of the paper's workloads:
 earlier outstanding loads (pointer chasing).  Dependent loads serialize the
 core's memory-level parallelism, which is what makes a workload sensitive
 to the latency added by refresh operations.
+
+A pattern only supplies its address stream; :func:`_draw_entries` is the
+one loop that draws every access's write, dependence and gap.  The loop
+and its address stream share one random generator, and the stream draws
+when the loop resumes it, so each access's draws come in the order
+address, write, dependence, gap.  That order is every trace's identity.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from itertools import islice
 from typing import Iterator
 
 from repro.workloads.trace import TraceEntry
@@ -30,32 +38,54 @@ from repro.workloads.trace import TraceEntry
 LINE_BYTES = 64
 
 
-def _gap(rng: random.Random, memory_fraction: float) -> int:
-    """Draw the number of non-memory instructions before the next access.
-
-    ``memory_fraction`` is the fraction of instructions that are memory
-    accesses; gaps follow a geometric-like distribution with the matching
-    mean so intensity is controlled precisely in expectation.
-    """
-    if memory_fraction >= 1.0:
-        return 0
-    mean_gap = (1.0 - memory_fraction) / memory_fraction
-    # Exponential draw, truncated to keep the tail bounded.
-    gap = rng.expovariate(1.0 / mean_gap) if mean_gap > 0 else 0.0
-    return min(int(gap), int(mean_gap * 8) + 1)
-
-
-def _entry(
+def _draw_entries(
     rng: random.Random,
-    address: int,
+    addresses: Iterator[int],
     memory_fraction: float,
     write_fraction: float,
     dependent_fraction: float,
-) -> TraceEntry:
-    # Draw order (write, dependence, gap) is part of every trace's identity.
-    is_write = rng.random() < write_fraction
-    depends = (not is_write) and rng.random() < dependent_fraction
-    return TraceEntry(_gap(rng, memory_fraction), address, is_write, depends)
+) -> Iterator[TraceEntry]:
+    """Turn an address stream into trace entries, drawing from ``rng``.
+
+    A store never depends on anything, so the dependence draw is made for
+    loads only.  ``memory_fraction`` is the fraction of instructions that
+    are memory accesses: the gap of non-memory instructions before each
+    access is an exponential draw with the matching mean (exactly
+    ``Random.expovariate``'s arithmetic), truncated to keep the tail
+    bounded, so intensity is controlled precisely in expectation.  When
+    every instruction is an access no gap is drawn.
+    """
+    draw = rng.random
+    log = math.log
+    # TraceEntry's generated constructor is Python code; build the tuple
+    # directly instead.
+    new = tuple.__new__
+    if memory_fraction < 1.0:
+        mean_gap = (1.0 - memory_fraction) / memory_fraction
+        lambd = 1.0 / mean_gap
+        cap = int(mean_gap * 8) + 1
+    else:
+        lambd = cap = 0
+    for address in addresses:
+        is_write = draw() < write_fraction
+        depends = not is_write and draw() < dependent_fraction
+        if lambd:
+            gap = int(-log(1.0 - draw()) / lambd)
+            if gap > cap:
+                gap = cap
+        else:
+            gap = 0
+        yield new(TraceEntry, (gap, address, is_write, depends))
+
+
+def _streaming_addresses(
+    rng: random.Random, footprint_bytes: int, run_length: int
+) -> Iterator[int]:
+    lines = max(1, footprint_bytes // LINE_BYTES)
+    while True:
+        start = rng.randrange(lines)
+        for position in range(start, start + run_length):
+            yield (position % lines) * LINE_BYTES
 
 
 def streaming_trace(
@@ -72,18 +102,24 @@ def streaming_trace(
     random position, which keeps DRAM row-buffer locality high while still
     spreading accesses over banks.
     """
+    if run_length < 1:
+        raise ValueError("run_length must be at least one line")
     rng = random.Random(seed)
-    lines = max(1, footprint_bytes // LINE_BYTES)
-    position = rng.randrange(lines)
-    remaining = run_length
+    return _draw_entries(
+        rng,
+        _streaming_addresses(rng, footprint_bytes, run_length),
+        memory_fraction,
+        write_fraction,
+        dependent_fraction,
+    )
+
+
+def _strided_addresses(footprint_bytes: int, stride_bytes: int) -> Iterator[int]:
+    footprint = max(stride_bytes, footprint_bytes)
+    position = 0
     while True:
-        if remaining == 0:
-            position = rng.randrange(lines)
-            remaining = run_length
-        address = (position % lines) * LINE_BYTES
-        yield _entry(rng, address, memory_fraction, write_fraction, dependent_fraction)
-        position += 1
-        remaining -= 1
+        yield position % footprint
+        position += stride_bytes
 
 
 def strided_trace(
@@ -95,15 +131,29 @@ def strided_trace(
     dependent_fraction: float = 0.1,
 ) -> Iterator[TraceEntry]:
     """Constant-stride sweeps over the footprint."""
-    rng = random.Random(seed)
     if stride_bytes < LINE_BYTES:
         raise ValueError("stride must be at least one cache line")
-    position = 0
-    footprint = max(stride_bytes, footprint_bytes)
+    return _draw_entries(
+        random.Random(seed),
+        _strided_addresses(footprint_bytes, stride_bytes),
+        memory_fraction,
+        write_fraction,
+        dependent_fraction,
+    )
+
+
+def _random_addresses(rng: random.Random, footprint_bytes: int) -> Iterator[int]:
+    # ``rng.randrange(lines)``, inlined: the same rejection sampling over
+    # ``getrandbits`` that ``Random.randrange`` does, without its
+    # per-call argument checks.
+    getrandbits = rng.getrandbits
+    lines = max(1, footprint_bytes // LINE_BYTES)
+    bits = lines.bit_length()
     while True:
-        address = position % footprint
-        yield _entry(rng, address, memory_fraction, write_fraction, dependent_fraction)
-        position += stride_bytes
+        line = getrandbits(bits)
+        while line >= lines:
+            line = getrandbits(bits)
+        yield line * LINE_BYTES
 
 
 def random_trace(
@@ -115,10 +165,25 @@ def random_trace(
 ) -> Iterator[TraceEntry]:
     """Uniformly random line accesses (GUPS / HPCC RandomAccess-like)."""
     rng = random.Random(seed)
-    lines = max(1, footprint_bytes // LINE_BYTES)
+    return _draw_entries(
+        rng,
+        _random_addresses(rng, footprint_bytes),
+        memory_fraction,
+        write_fraction,
+        dependent_fraction,
+    )
+
+
+def _mixed_entries(
+    rng: random.Random,
+    stream: Iterator[TraceEntry],
+    scatter: Iterator[TraceEntry],
+    burst_length: int,
+    streaming_share: float,
+) -> Iterator[TraceEntry]:
+    draw = rng.random
     while True:
-        address = rng.randrange(lines) * LINE_BYTES
-        yield _entry(rng, address, memory_fraction, write_fraction, dependent_fraction)
+        yield from islice(stream if draw() < streaming_share else scatter, burst_length)
 
 
 def mixed_trace(
@@ -130,26 +195,30 @@ def mixed_trace(
     streaming_share: float = 0.5,
     dependent_fraction: float = 0.4,
 ) -> Iterator[TraceEntry]:
-    """Alternating bursts of streaming and random accesses (TPC-like)."""
-    rng = random.Random(seed)
-    stream = streaming_trace(
-        footprint_bytes,
-        memory_fraction,
-        write_fraction,
-        seed=seed + 1,
-        dependent_fraction=dependent_fraction / 4,
+    """Alternating bursts of streaming and random accesses (TPC-like).
+
+    The two sources keep their own seeds and positions across bursts;
+    this trace's own generator only picks each burst's source.
+    """
+    return _mixed_entries(
+        random.Random(seed),
+        streaming_trace(
+            footprint_bytes,
+            memory_fraction,
+            write_fraction,
+            seed=seed + 1,
+            dependent_fraction=dependent_fraction / 4,
+        ),
+        random_trace(
+            footprint_bytes,
+            memory_fraction,
+            write_fraction,
+            seed=seed + 2,
+            dependent_fraction=dependent_fraction,
+        ),
+        burst_length,
+        streaming_share,
     )
-    scatter = random_trace(
-        footprint_bytes,
-        memory_fraction,
-        write_fraction,
-        seed=seed + 2,
-        dependent_fraction=dependent_fraction,
-    )
-    while True:
-        source = stream if rng.random() < streaming_share else scatter
-        for _ in range(burst_length):
-            yield next(source)
 
 
 GENERATORS = {

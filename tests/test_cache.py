@@ -13,6 +13,7 @@ from repro.config.presets import paper_system
 from repro.sim.simulator import Simulator
 from repro.workloads.benchmark_suite import Benchmark, get_benchmark
 from repro.workloads.mixes import make_workload
+from repro.workloads.trace import take
 
 
 def small_cache(size=8 * 1024, assoc=4, line=64) -> SetAssociativeCache:
@@ -200,6 +201,25 @@ class TestSnapshotRestore:
         direct = warmed_directly(accesses, k * SPAN + residue)
         assert resident(restored) == resident(direct)
 
+    @pytest.mark.parametrize("residue", [0, 1000])
+    @pytest.mark.parametrize(
+        "name", ["hmmer_like", "calculix_like", "povray_like", "gcc_like"]
+    )
+    def test_fill_leaves_the_sets_access_leaves(self, name, residue):
+        entries = take(get_benchmark(name).trace(seed=7919), 5000)
+        filled = small_cache()
+        filled.fill(entries, residue)
+        accessed = LastLevelCache(SMALL)
+        for entry in entries:
+            accessed.access(residue + entry.address, entry.is_write)
+        # Every footprint overflows the small cache, so lines are evicted
+        # dirty and clean; all but the strided sweep also re-touch lines.
+        assert accessed.writebacks
+        assert accessed.misses - accessed.writebacks > SMALL.size_bytes // 64
+        assert accessed.hits or name == "calculix_like"
+        assert [list(s.items()) for s in filled._sets] == resident(accessed)
+        assert (filled.hits, filled.misses, filled.writebacks) == (0, 0, 0)
+
     def test_restored_caches_share_no_sets(self):
         snapshot = warmed_directly(random_accesses(), 0).snapshot()
         first, second = LastLevelCache(SMALL), LastLevelCache(SMALL)
@@ -257,18 +277,23 @@ class TestWarmStates:
         assert warmed == ["b"]
 
     def test_holder_restores_equal_direct_warming(self):
+        # One benchmark per trace pattern: the holder warms with the bulk
+        # fill, the reference with one ``access`` per trace entry.
+        names = ("stream_copy", "calculix_like", "mcf_like", "gcc_like")
         holder = WarmStates()
         sim = warm_simulator(holder)
         span = sim.config.cache.line_bytes * sim.config.cache.num_sets
-        benchmark = get_benchmark("mcf_like")
-        for k in (0, 1, 3, 64):
-            for residue in (0, 64, 1000):
-                offset = k * span + residue
-                warmed = warmed_by_simulator(sim, benchmark, offset, 3000)
-                reference = warmed_reference(sim, benchmark, offset, 3000)
-                assert resident(warmed) == resident(reference)
-        # One warmup per residue; every other offset is a tag shift.
-        assert (holder.misses, holder.hits) == (3, 9)
+        for name in names:
+            benchmark = get_benchmark(name)
+            for k in (0, 1, 3, 64):
+                for residue in (0, 64, 1000):
+                    offset = k * span + residue
+                    warmed = warmed_by_simulator(sim, benchmark, offset, 3000)
+                    reference = warmed_reference(sim, benchmark, offset, 3000)
+                    assert resident(warmed) == resident(reference), (name, offset)
+        # One warmup per benchmark and residue; every other offset is a
+        # tag shift.
+        assert (holder.misses, holder.hits) == (3 * len(names), 9 * len(names))
 
     def test_eviction_leaves_results_unchanged(self, monkeypatch):
         benchmarks = [get_benchmark("gcc_like"), get_benchmark("hmmer_like")]
