@@ -173,7 +173,7 @@ class RefreshPolicy(abc.ABC):
         sleeps: a pending refresh that is currently illegal can only
         become issuable when one of its target banks' windows expires.
         Policies with no owed refresh work return an empty tuple, letting
-        the controller ignore stale scoreboard deadlines entirely.  The
+        the controller ignore stale bank deadlines entirely.  The
         base implementation is maximally conservative.
         """
         return tuple(range(self.num_banks))

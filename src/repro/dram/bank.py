@@ -1,7 +1,8 @@
 """DRAM bank state machine.
 
 A bank tracks its open row, the earliest cycles at which each command type
-may legally be issued (a timing scoreboard), and its refresh state: whether
+may legally be issued (plain int deadline fields, which the device's
+legality checks read directly), and its refresh state: whether
 a refresh is in progress, which subarray that refresh occupies, and the
 internal refresh row counter (DARP requires a separate row counter per bank
 because the number of postponed/pulled-in refreshes differs across banks,
@@ -56,14 +57,6 @@ class Bank:
 
     subarrays: list[Subarray] = field(default_factory=list)
 
-    #: Struct-of-arrays mirror (:class:`~repro.dram.scoreboard.TimingScoreboard`)
-    #: and this bank's ``(channel, rank, bank)`` slot in it.  ``None`` for
-    #: standalone banks (unit tests); the device attaches the mirror at
-    #: construction, and every timing mutator writes through to it so the
-    #: event kernel's horizon reductions can run vectorized.
-    _sb: object = None
-    _sb_i: tuple = ()
-
     def __post_init__(self) -> None:
         if not self.subarrays:
             self.subarrays = build_subarrays(self.subarrays_per_bank, self.rows)
@@ -97,7 +90,7 @@ class Bank:
 
     # -- state transitions (invoked by the device) ------------------------
     def do_activate(self, cycle: int, row: int, timings) -> None:
-        """Apply an ACTIVATE command's effects on the bank scoreboard."""
+        """Apply an ACTIVATE command's effects on the bank's deadlines."""
         self.stamp += 1
         self.open_row = row
         self.t_rd = cycle + timings.tRCD
@@ -106,13 +99,6 @@ class Bank:
         self.t_act = max(self.t_act, cycle + timings.tRC)
         self.activations += 1
         self.subarrays[self.subarray_of(row)].record_activation()
-        sb = self._sb
-        if sb is not None:
-            i = self._sb_i
-            sb.t_rd[i] = self.t_rd
-            sb.t_wr[i] = self.t_wr
-            sb.t_pre[i] = self.t_pre
-            sb.t_act[i] = self.t_act
 
     def do_read(self, cycle: int, timings, autoprecharge: bool) -> int:
         """Apply a column read; returns the cycle the data burst completes."""
@@ -124,12 +110,6 @@ class Bank:
             self.open_row = None
             self.t_act = max(self.t_act, cycle + timings.tRTP + timings.tRP)
             self.precharges += 1
-        sb = self._sb
-        if sb is not None:
-            i = self._sb_i
-            sb.t_pre[i] = self.t_pre
-            if autoprecharge:
-                sb.t_act[i] = self.t_act
         return burst_end
 
     def do_write(self, cycle: int, timings, autoprecharge: bool) -> int:
@@ -142,12 +122,6 @@ class Bank:
             self.open_row = None
             self.t_act = max(self.t_act, burst_end + timings.tWR + timings.tRP)
             self.precharges += 1
-        sb = self._sb
-        if sb is not None:
-            i = self._sb_i
-            sb.t_pre[i] = self.t_pre
-            if autoprecharge:
-                sb.t_act[i] = self.t_act
         return burst_end
 
     def do_precharge(self, cycle: int, timings) -> None:
@@ -156,9 +130,6 @@ class Bank:
         self.open_row = None
         self.t_act = max(self.t_act, cycle + timings.tRP)
         self.precharges += 1
-        sb = self._sb
-        if sb is not None:
-            sb.t_act[self._sb_i] = self.t_act
 
     def do_refresh(self, cycle: int, duration: int, sarp_enabled: bool) -> None:
         """Start a refresh operation of ``duration`` cycles on this bank.
@@ -179,12 +150,6 @@ class Bank:
         self.subarrays[subarray].record_refresh()
         if not sarp_enabled:
             self.t_act = max(self.t_act, cycle + duration)
-        sb = self._sb
-        if sb is not None:
-            i = self._sb_i
-            sb.refresh_until[i] = self.refresh_until
-            if not sarp_enabled:
-                sb.t_act[i] = self.t_act
 
     def end_refresh_if_done(self, cycle: int) -> None:
         """Clear the refreshing-subarray marker once the refresh completes."""
@@ -200,7 +165,7 @@ class Bank:
         """Earliest cycle after ``now`` at which a timing window of this
         bank expires.
 
-        The scoreboard deadlines (``t_act``/``t_rd``/``t_wr``/``t_pre``)
+        The command deadlines (``t_act``/``t_rd``/``t_wr``/``t_pre``)
         and the refresh-completion cycle are the only times at which a
         command that is illegal now can become legal without any other
         state change, so they bound how far the event kernel may safely

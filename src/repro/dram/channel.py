@@ -140,19 +140,17 @@ class Channel:
             if deadline > now
         ]
 
-    def next_event_cycle(self, now: int, timings, tfaw_of_rank=None) -> "int | None":
+    def next_event_cycle(self, now: int, timings, tfaw_of_rank) -> "int | None":
         """Earliest cycle after ``now`` at which channel state can change:
         the bus deadlines plus every rank's timing windows.
 
         ``tfaw_of_rank`` maps ``(rank, now)`` to the tFAW window *currently
         in force* (the device passes its bound accessor, which returns the
-        SARP-inflated value while the rank refreshes); it defaults to the
-        base timing.
+        SARP-inflated value while the rank refreshes).
         """
         candidates = self.bus_deadlines(now, timings)
         for rank in self.ranks:
-            tfaw = timings.tFAW if tfaw_of_rank is None else tfaw_of_rank(rank, now)
-            rank_event = rank.next_event_cycle(now, tfaw)
+            rank_event = rank.next_event_cycle(now, tfaw_of_rank(rank, now))
             if rank_event is not None:
                 candidates.append(rank_event)
         return min(candidates) if candidates else None

@@ -24,7 +24,6 @@ from repro.dram.channel import Channel
 from repro.dram.commands import Command, CommandType
 from repro.dram.power_integrity import scaled_tfaw_trrd
 from repro.dram.rank import Rank
-from repro.dram.scoreboard import TimingScoreboard
 from repro.stats import StatsSchema, StatsStruct, register_schema
 
 
@@ -101,13 +100,6 @@ class DRAMDevice:
                 ]
                 ranks.append(Rank(index=rk, banks=banks))
             self.channels.append(Channel(index=ch, ranks=ranks))
-        #: Struct-of-arrays mirror of every timing deadline; the bank/rank
-        #: mutators write through to it, and the horizon queries below
-        #: reduce over it instead of walking the object hierarchy.
-        self.scoreboard = TimingScoreboard(
-            org.channels, org.ranks_per_channel, org.banks_per_rank
-        )
-        self.scoreboard.attach(self)
 
     # -- hierarchy accessors -----------------------------------------------
     def channel(self, index: int) -> Channel:
@@ -118,12 +110,6 @@ class DRAMDevice:
 
     def bank(self, channel: int, rank: int, bank: int) -> Bank:
         return self.channels[channel].ranks[rank].banks[bank]
-
-    def iter_ranks(self):
-        """Yield (channel_index, rank_index, rank) triples."""
-        for channel in self.channels:
-            for rank in channel.ranks:
-                yield channel.index, rank.index, rank
 
     def iter_banks(self):
         """Yield (channel_index, rank_index, bank_index, bank) tuples."""
@@ -139,65 +125,25 @@ class DRAMDevice:
             channel.tick(cycle)
 
     # -- event horizon (cycle-skipping kernel) --------------------------------
-    def next_event_cycle_for_channel(self, index: int, now: int) -> "int | None":
-        """Earliest cycle after ``now`` at which one channel's timing state
-        can change.
-
-        The bank deadlines come from one vectorized min-reduction over the
-        struct-of-arrays scoreboard; only the rank-level windows need a
-        (tiny) per-rank walk, because the tFAW deadline depends on the
-        window *currently in force* — the SARP-inflated value while the
-        rank refreshes — so it cannot be precomputed into the mirror.
-        ``Channel.next_event_cycle`` remains the object-walking reference
-        this reduction is audited against.
-        """
-        channel = self.channels[index]
-        candidates = channel.bus_deadlines(now, self.timings)
-        bank_event = self.scoreboard.min_bank_deadline_after(now, channel=index)
-        if bank_event is not None:
-            candidates.append(bank_event)
-        for rank in channel.ranks:
-            for deadline in (rank.next_act, rank.refab_until, rank.pb_refresh_until):
-                if deadline > now:
-                    candidates.append(deadline)
-            history = rank.act_history
-            if len(history) == history.maxlen:
-                deadline = history[0] + self.tfaw_in_force(rank, now)
-                if deadline > now:
-                    candidates.append(deadline)
-        return min(candidates) if candidates else None
-
     def next_event_cycle(self, now: int) -> "int | None":
         """Earliest cycle after ``now`` at which any timing window expires.
 
         With the demand queues frozen (no command issued, no request
         enqueued or retired), every ``can_issue`` outcome is a monotone
         function of the cycle number that can only flip when one of the
-        bank/rank/channel scoreboard deadlines passes.  The minimum over
+        bank/rank/channel timing deadlines passes.  The minimum over
         those deadlines therefore bounds how far the event kernel may
-        advance in one jump without missing a state change.  The bank
-        deadlines of *all* channels reduce in one vectorized pass.
+        advance in one jump without missing a state change.  Each channel
+        walks its own ranks and banks, with the tFAW window in force per
+        rank (SARP inflates it while the rank refreshes).  This is the
+        reference horizon the tests check the wake calendar against; the
+        event kernel itself never calls it.
         """
-        candidates = []
-        bank_event = self.scoreboard.min_bank_deadline_after(now)
-        if bank_event is not None:
-            candidates.append(bank_event)
-        for channel in self.channels:
-            candidates.extend(channel.bus_deadlines(now, self.timings))
-            for rank in channel.ranks:
-                for deadline in (
-                    rank.next_act,
-                    rank.refab_until,
-                    rank.pb_refresh_until,
-                ):
-                    if deadline > now:
-                        candidates.append(deadline)
-                history = rank.act_history
-                if len(history) == history.maxlen:
-                    deadline = history[0] + self.tfaw_in_force(rank, now)
-                    if deadline > now:
-                        candidates.append(deadline)
-        return min(candidates) if candidates else None
+        events = [
+            channel.next_event_cycle(now, self.timings, self.tfaw_in_force)
+            for channel in self.channels
+        ]
+        return min((event for event in events if event is not None), default=None)
 
     # -- effective activation-rate limits ------------------------------------
     def effective_tfaw_trrd(self, rank: Rank, cycle: int) -> tuple[int, int]:

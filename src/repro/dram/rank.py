@@ -36,12 +36,6 @@ class Rank:
     refab_count: int = 0
     refpb_count: int = 0
 
-    #: Struct-of-arrays mirror and this rank's ``(channel, rank)`` slot in
-    #: it (see :class:`~repro.dram.scoreboard.TimingScoreboard`); ``None``
-    #: for standalone ranks built by unit tests.
-    _sb: object = None
-    _sb_i: tuple = ()
-
     def bank(self, index: int) -> Bank:
         return self.banks[index]
 
@@ -73,12 +67,6 @@ class Rank:
         """Record an issued ACTIVATE for tRRD/tFAW accounting."""
         self.next_act = max(self.next_act, cycle + trrd)
         self.act_history.append(cycle)
-        sb = self._sb
-        if sb is not None:
-            i = self._sb_i
-            sb.next_act[i] = self.next_act
-            if len(self.act_history) == self.act_history.maxlen:
-                sb.faw_start[i] = self.act_history[0]
 
     # -- refresh transitions ----------------------------------------------
     def start_all_bank_refresh(
@@ -90,8 +78,6 @@ class Rank:
         """Begin an all-bank refresh: every bank refreshes concurrently."""
         self.refab_until = cycle + duration
         self.refab_count += 1
-        if self._sb is not None:
-            self._sb.refab_until[self._sb_i] = self.refab_until
         for bank in self.banks:
             bank.do_refresh(cycle, duration, sarp_enabled)
 
@@ -101,8 +87,6 @@ class Rank:
         """Begin a per-bank refresh on one bank."""
         self.pb_refresh_until = cycle + duration
         self.refpb_count += 1
-        if self._sb is not None:
-            self._sb.pb_until[self._sb_i] = self.pb_refresh_until
         self.banks[bank_index].do_refresh(cycle, duration, sarp_enabled)
 
     def tick(self, cycle: int) -> None:
@@ -115,7 +99,7 @@ class Rank:
         """Earliest cycle after ``now`` at which rank-level state can change.
 
         Covers the rank's own timing windows (tRRD spacing, the tFAW
-        rolling window, refresh completions) and every bank's scoreboard.
+        rolling window, refresh completions) and every bank's deadlines.
         ``tfaw`` must be the window *currently in force* — under SARP the
         device passes the inflated value while the rank refreshes, and the
         refresh-completion candidates below cover the reversion to the

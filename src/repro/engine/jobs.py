@@ -49,6 +49,23 @@ class SimulationJob:
     warmup: int
     seed: int
 
+    def __post_init__(self) -> None:
+        # Jobs also arrive over the remote wire, and a malformed window
+        # would otherwise simulate (and be cached under its own key)
+        # silently: a negative warmup runs as 0, a float cycle count rounds.
+        for name, low, kind in (
+            ("cycles", 1, "a positive int"),
+            ("warmup", 0, "a non-negative int"),
+            ("seed", None, "an int"),
+        ):
+            value = getattr(self, name)
+            if (
+                not isinstance(value, int)
+                or isinstance(value, bool)
+                or (low is not None and value < low)
+            ):
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
+
     def fingerprint(self) -> tuple:
         """Hashable identity: everything that affects the result."""
         return (

@@ -62,6 +62,29 @@ class TestJobs:
         assert make_job().key() != make_job(seed=7).key()
         assert make_job().key() != make_job(cycles=1600).key()
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("cycles", 0),
+            ("cycles", -100),
+            ("cycles", 100.5),
+            ("cycles", True),
+            ("warmup", -5),
+            ("warmup", 10.0),
+            ("warmup", False),
+            ("seed", True),
+            ("seed", 1.0),
+            ("seed", "3"),
+        ],
+    )
+    def test_malformed_window_is_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            make_job(**{field: value})
+
+    def test_zero_warmup_and_negative_seed_are_valid(self):
+        job = make_job(warmup=0, seed=-1)
+        assert (job.warmup, job.seed) == (0, -1)
+
     def test_digest_is_stable_across_processes(self):
         # sha256 of canonical JSON must not depend on interpreter hash
         # randomization; pin one value so accidental format changes that

@@ -230,19 +230,19 @@ class TestEventHorizons:
         assert device.next_event_cycle(0) is None
         device.bank(0, 0, 0).t_act = 70
         device.bank(1, 1, 3).refresh_until = 55
-        # Direct field pokes bypass the write-through mutators, so the
-        # struct-of-arrays mirror must be resynced before horizon queries.
-        device.scoreboard.resync(device)
-        assert device.next_event_cycle_for_channel(0, 0) == 70
-        assert device.next_event_cycle_for_channel(1, 0) == 55
+        timings = device.timings
+        channel_event = [
+            channel.next_event_cycle(0, timings, device.tfaw_in_force)
+            for channel in device.channels
+        ]
+        assert channel_event == [70, 55]
         assert device.next_event_cycle(0) == 55
         # Channel bus deadlines participate too (command-cycle space).
-        timings = device.timings
         channel = device.channels[0]
         channel.bus_busy_until = 40
-        assert device.next_event_cycle_for_channel(0, 0) == 40 - max(
-            timings.tCL, timings.tCWL
-        )
+        assert channel.next_event_cycle(
+            0, timings, device.tfaw_in_force
+        ) == 40 - max(timings.tCL, timings.tCWL)
 
     def test_memory_system_combines_device_and_controllers(self):
         memory_config = paper_system(mechanism="none", num_cores=1)
@@ -258,7 +258,6 @@ class TestEventHorizons:
         assert memory.next_event_cycle(0) == 33
         # Device deadlines win when earlier.
         memory.device.bank(0, 0, 0).t_pre = 12
-        memory.device.scoreboard.resync(memory.device)
         assert memory.next_event_cycle(0) == 12
 
     def test_core_horizon_tracks_pure_gap_run(self):

@@ -195,6 +195,16 @@ class TestPayloadEnvelopes:
         with pytest.raises(ValueError, match="key"):
             decode_job(payload)
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("warmup", -5), ("cycles", 100.5), ("seed", True)],
+    )
+    def test_malformed_window_on_the_wire_is_refused(self, field, value):
+        payload = over_the_wire(encode_job(small_job()))
+        payload[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            decode_job(payload)
+
     def test_simulation_result_travels_as_canonical_dict(self):
         result = quick_run("refab", cycles=1200, warmup=200)
         envelope = encode_result(result)
