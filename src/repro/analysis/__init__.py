@@ -1,37 +1,6 @@
-"""Formatting of experiment results into paper-style tables and series."""
+"""Reduction of experiment results to paper-style tables and charts."""
 
-from repro.analysis.figures import (
-    format_figure12,
-    format_figure13,
-    format_figure14,
-    format_figure15,
-    format_figure16,
-    format_figure5,
-    format_figure6,
-    format_figure7,
-)
-from repro.analysis.tables import (
-    format_table,
-    format_table2,
-    format_table3,
-    format_table4,
-    format_table5,
-    format_table6,
-)
+from repro.analysis.model import Chart, Table
+from repro.analysis.tables import format_table
 
-__all__ = [
-    "format_table",
-    "format_table2",
-    "format_table3",
-    "format_table4",
-    "format_table5",
-    "format_table6",
-    "format_figure5",
-    "format_figure6",
-    "format_figure7",
-    "format_figure12",
-    "format_figure13",
-    "format_figure14",
-    "format_figure15",
-    "format_figure16",
-]
+__all__ = ["Chart", "Table", "format_table"]

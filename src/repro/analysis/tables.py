@@ -3,17 +3,18 @@
 Each ``tabulate_tableN`` function accepts the corresponding experiment
 function's return value (see :mod:`repro.sim.experiments`) and reduces it
 to the renderer-independent :class:`~repro.analysis.model.Table` with the
-same rows/columns as the paper's table.  The historical ``format_tableN``
-helpers render that model as fixed-width text (the benchmark harness's
-``results/*.txt`` artifacts); the report subsystem renders the same model
-as markdown and LaTeX.
+same rows/columns as the paper's table; its ``chart_tableN`` sibling
+extracts the :class:`~repro.analysis.model.Chart` the paper report
+plots.  The two Section 6.1.2 ablations have a ``tabulate_*`` but no
+chart.  :func:`format_table` renders ad-hoc rows (the sweep summaries)
+as fixed-width text.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.analysis.model import Table
+from repro.analysis.model import Chart, Table
 
 
 def format_table(
@@ -49,9 +50,17 @@ def tabulate_table2(summary: dict) -> Table:
     )
 
 
-def format_table2(summary: dict) -> str:
-    """Table 2: max / gmean WS improvement over REFpb and REFab."""
-    return tabulate_table2(summary).to_text()
+def chart_table2(summary: dict) -> Chart:
+    """Table 2 chart: gmean improvement over REFpb per density."""
+    densities = sorted(summary)
+    mechanisms = ("darp", "sarppb", "dsarp")
+    return Chart.build(
+        "Table 2: gmean WS improvement over REFpb (%)",
+        [f"{d}Gb" for d in densities],
+        {m: [summary[d][m]["gmean_refpb"] for d in densities] for m in mechanisms},
+        kind="bar",
+        y_label="gmean improvement (%)",
+    )
 
 
 def tabulate_table3(result: dict) -> Table:
@@ -76,9 +85,22 @@ def tabulate_table3(result: dict) -> Table:
     )
 
 
-def format_table3(result: dict) -> str:
-    """Table 3: DSARP effect on multi-core system metrics."""
-    return tabulate_table3(result).to_text()
+def chart_table3(result: dict) -> Chart:
+    """Table 3 chart: one line per DSARP metric across core counts."""
+    cores = sorted(result)
+    keys = (
+        "weighted_speedup_improvement",
+        "harmonic_speedup_improvement",
+        "maximum_slowdown_reduction",
+        "energy_per_access_reduction",
+    )
+    return Chart.build(
+        "Table 3: DSARP vs REFab across core counts",
+        [str(c) for c in cores],
+        {key: [result[c][key] for c in cores] for key in keys},
+        kind="line",
+        y_label="improvement (%)",
+    )
 
 
 def tabulate_table4(result: dict) -> Table:
@@ -95,9 +117,16 @@ def tabulate_table4(result: dict) -> Table:
     )
 
 
-def format_table4(result: dict) -> str:
-    """Table 4: SARPpb improvement over REFpb as tFAW/tRRD vary."""
-    return tabulate_table4(result).to_text()
+def chart_table4(result: dict) -> Chart:
+    """Table 4 chart: SARPpb improvement versus tFAW."""
+    tfaws = sorted(result)
+    return Chart.build(
+        "Table 4: SARPpb over REFpb vs tFAW",
+        [str(t) for t in tfaws],
+        {"WS improvement": [result[t] for t in tfaws]},
+        kind="line",
+        y_label="improvement (%)",
+    )
 
 
 def tabulate_table5(result: dict) -> Table:
@@ -111,9 +140,16 @@ def tabulate_table5(result: dict) -> Table:
     )
 
 
-def format_table5(result: dict) -> str:
-    """Table 5: SARPpb improvement over REFpb as subarrays per bank vary."""
-    return tabulate_table5(result).to_text()
+def chart_table5(result: dict) -> Chart:
+    """Table 5 chart: SARPpb improvement versus subarrays per bank."""
+    counts = sorted(result)
+    return Chart.build(
+        "Table 5: effect of subarrays per bank",
+        [str(c) for c in counts],
+        {"WS improvement": [result[c] for c in counts]},
+        kind="line",
+        y_label="improvement (%)",
+    )
 
 
 def tabulate_table6(result: dict) -> Table:
@@ -138,6 +174,36 @@ def tabulate_table6(result: dict) -> Table:
     )
 
 
-def format_table6(result: dict) -> str:
-    """Table 6: DSARP improvement at 64 ms retention."""
-    return tabulate_table6(result).to_text()
+def chart_table6(result: dict) -> Chart:
+    """Table 6 chart: DSARP improvement at 64 ms retention per density."""
+    densities = sorted(result)
+    keys = ("gmean_refpb", "gmean_refab", "max_refpb", "max_refab")
+    return Chart.build(
+        "Table 6: DSARP improvement with 64 ms retention",
+        [f"{d}Gb" for d in densities],
+        {key: [result[d][key] for d in densities] for key in keys},
+        kind="bar",
+        y_label="improvement (%)",
+    )
+
+
+def tabulate_darp_components(result: dict) -> Table:
+    """Section 6.1.2: out-of-order refresh alone versus full DARP."""
+    rows = [
+        [f"{density}Gb", f"{entry['out_of_order_only']:+.1f}", f"{entry['darp']:+.1f}"]
+        for density, entry in sorted(result.items())
+    ]
+    return Table.build(
+        ["Density", "Out-of-order only (% over REFab)", "Full DARP (% over REFab)"],
+        rows,
+        title="Section 6.1.2: DARP component breakdown",
+    )
+
+
+def tabulate_dsarp_additivity(result: dict) -> Table:
+    """Ablation: DARP, SARPpb and DSARP improvement over REFab at 32 Gb."""
+    return Table.build(
+        ["Mechanism", "WS improvement over REFab (%)"],
+        [[name, f"{value:+.2f}"] for name, value in result.items()],
+        title="DSARP additivity ablation (32 Gb)",
+    )

@@ -35,148 +35,20 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, TextIO
+from typing import Optional, TextIO
 
 from repro.config.controller_config import PAGE_POLICIES, PAGE_POLICY_DESCRIPTIONS
 from repro.controller.policies import scheduler_descriptions, scheduler_names
 from repro.engine.executor import JobExecutor, ParallelExecutor, SerialExecutor
 from repro.engine.progress import ProgressPrinter
 from repro.engine.store import STORE_BACKENDS, open_store
-from repro.sim import experiments
 from repro.sim.experiments import ExperimentScale
+from repro.sim.registry import EXPERIMENTS
 from repro.sim.runner import ExperimentRunner
-
-
-def _doc_summary(function: Callable) -> str:
-    """One-line summary of an experiment: its docstring's first line."""
-    doc = inspect.getdoc(function)
-    if not doc:
-        return ""
-    return doc.splitlines()[0].strip().rstrip(".")
-
-
-@dataclass(frozen=True)
-class Experiment:
-    """One runnable experiment: a name, its function and an entry point.
-
-    The ``list`` subcommand describes each experiment by the first line
-    of its function's docstring, so descriptions live exactly once — on
-    the experiment functions themselves.
-    """
-
-    name: str
-    function: Callable
-    run: Callable[[ExperimentRunner, ExperimentScale], object]
-
-    @property
-    def description(self) -> str:
-        return _doc_summary(self.function)
-
-
-def _simulation_free(function: Callable[[], object]):
-    """Adapt an experiment that needs no simulations to the common shape."""
-
-    def run(runner: ExperimentRunner, scale: ExperimentScale) -> object:
-        return function()
-
-    return run
-
-
-def _standard(function) -> Callable[[ExperimentRunner, ExperimentScale], object]:
-    """Adapt the common ``function(runner=..., scale=...)`` signature."""
-
-    def run(runner: ExperimentRunner, scale: ExperimentScale) -> object:
-        return function(runner=runner, scale=scale)
-
-    return run
-
-
-EXPERIMENTS: dict[str, Experiment] = {
-    experiment.name: experiment
-    for experiment in (
-        Experiment(
-            "figure5",
-            experiments.figure5_refresh_latency_trend,
-            _simulation_free(experiments.figure5_refresh_latency_trend),
-        ),
-        Experiment(
-            "figure6",
-            experiments.figure6_refab_performance_loss,
-            _standard(experiments.figure6_refab_performance_loss),
-        ),
-        Experiment(
-            "figure7",
-            experiments.figure7_refab_vs_refpb_loss,
-            _standard(experiments.figure7_refab_vs_refpb_loss),
-        ),
-        Experiment(
-            "figure12",
-            experiments.figure12_workload_sweep,
-            _standard(experiments.figure12_workload_sweep),
-        ),
-        Experiment(
-            "figure13",
-            experiments.figure13_all_mechanisms,
-            _standard(experiments.figure13_all_mechanisms),
-        ),
-        Experiment(
-            "figure14",
-            experiments.figure14_energy_per_access,
-            _standard(experiments.figure14_energy_per_access),
-        ),
-        Experiment(
-            "figure15",
-            experiments.figure15_memory_intensity,
-            _standard(experiments.figure15_memory_intensity),
-        ),
-        Experiment(
-            "figure16",
-            experiments.figure16_fgr_comparison,
-            _standard(experiments.figure16_fgr_comparison),
-        ),
-        Experiment(
-            "table2",
-            experiments.table2_improvement_summary,
-            _standard(experiments.table2_improvement_summary),
-        ),
-        Experiment(
-            "table3",
-            experiments.table3_core_count,
-            _standard(experiments.table3_core_count),
-        ),
-        Experiment(
-            "table4",
-            experiments.table4_tfaw_sensitivity,
-            _standard(experiments.table4_tfaw_sensitivity),
-        ),
-        Experiment(
-            "table5",
-            experiments.table5_subarray_sensitivity,
-            _standard(experiments.table5_subarray_sensitivity),
-        ),
-        Experiment(
-            "table6",
-            experiments.table6_refresh_interval,
-            _standard(experiments.table6_refresh_interval),
-        ),
-        Experiment(
-            "darp_components",
-            experiments.darp_component_breakdown,
-            _standard(experiments.darp_component_breakdown),
-        ),
-        Experiment(
-            "dsarp_additivity",
-            experiments.dsarp_additivity,
-            _standard(experiments.dsarp_additivity),
-        ),
-    )
-}
 
 
 def _to_jsonable(value: object) -> object:
@@ -267,6 +139,10 @@ def _density_list(text: str) -> tuple[int, ...]:
         ) from None
     if not densities:
         raise argparse.ArgumentTypeError("expected at least one density")
+    if any(density < 1 for density in densities):
+        raise argparse.ArgumentTypeError(
+            f"densities must be positive Gb counts, got {text!r}"
+        )
     return densities
 
 
@@ -930,11 +806,14 @@ def _build_runner(
 
 
 def _write_run_summary(
-    runner: ExperimentRunner, args: argparse.Namespace, stderr: TextIO
+    runner: ExperimentRunner,
+    args: argparse.Namespace,
+    stderr: TextIO,
+    label: str = "run summary",
 ) -> None:
     summary = runner.summary()
     stderr.write(
-        f"run summary: {summary['jobs']} jobs planned — "
+        f"{label}: {summary['jobs']} jobs planned — "
         f"{summary['simulated']} simulated, "
         f"{summary['store_hits']} store hits, "
         f"{summary['memory_hits']} memory hits "
@@ -973,9 +852,8 @@ def _write_run_summary(
 
 
 def _run_command(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
-    experiment = EXPERIMENTS[args.experiment]
     runner = _build_runner(args, stderr)
-    result = experiment.run(runner, _build_scale(args))
+    result = EXPERIMENTS[args.experiment].run(runner, _build_scale(args))
 
     payload = json.dumps(_to_jsonable(result), indent=2, sort_keys=True)
     if args.output:
@@ -1107,7 +985,17 @@ def _bench_run_command(args: argparse.Namespace, stdout: TextIO, stderr: TextIO)
 
         history_path = append_history(args.history, document)
         stderr.write(f"history snapshot appended: {history_path}\n")
-    _write_run_summary(runner, args, stderr)
+    # The summary counts only the runner the benchmarks share; name the
+    # ones that planned nothing on it (closed-form, or own engines).
+    _write_run_summary(runner, args, stderr, label="shared runner summary")
+    elsewhere = [
+        record.name for record in document.benchmarks if not record.engine["jobs"]
+    ]
+    if elsewhere:
+        stderr.write(
+            f"not in the shared runner summary ({len(elsewhere)} planned no "
+            f"jobs on it): {', '.join(elsewhere)}\n"
+        )
     failed = [record for record in document.benchmarks if not record.checks_passed]
     stdout.write(
         f"{len(document.benchmarks)} benchmarks run, {len(failed)} failed; "

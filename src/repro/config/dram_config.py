@@ -182,6 +182,14 @@ class DRAMConfig:
         of 2 or 4 applies the DDR4 fine-granularity-refresh scaling of
         Section 6.5 (tREFI / mode, tRFC / 1.35 or / 1.63).
         """
+        if (
+            isinstance(density_gb, bool)
+            or not isinstance(density_gb, int)
+            or density_gb < 1
+        ):
+            raise ValueError(
+                f"density_gb must be a positive int (Gb), got {density_gb!r}"
+            )
         org = organization or DRAMOrganization()
         base = DRAMTimings()
         trfc_ab_ns = projected_trfc_ns(density_gb, projection=projection)

@@ -16,12 +16,7 @@ Three generators, all wired through ``repro report``:
 deterministic SVG (the target container has no plotting stack).
 """
 
-from repro.report.paper import (
-    ARTIFACTS,
-    PaperArtifact,
-    PaperReport,
-    generate_paper_report,
-)
+from repro.report.paper import PaperReport, generate_paper_report
 from repro.report.plot import render_chart, render_sparkline, unicode_sparkline
 from repro.report.run import RunReport, build_run_report, write_run_report
 from repro.report.trend import (
@@ -32,9 +27,7 @@ from repro.report.trend import (
 )
 
 __all__ = [
-    "ARTIFACTS",
     "DRIFT_MARKER",
-    "PaperArtifact",
     "PaperReport",
     "RunReport",
     "TrendReport",

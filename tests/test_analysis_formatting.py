@@ -1,22 +1,28 @@
-"""Unit tests for result formatting (analysis package) and projections."""
+"""Unit tests for result tabulation (analysis package) and projections.
+
+Every table renders through ``tabulate_*(...).to_text()``, the same path
+the text artifacts of ``repro bench run`` take.
+"""
 
 from repro.analysis.figures import (
-    format_figure12,
-    format_figure13,
-    format_figure14,
-    format_figure15,
-    format_figure16,
-    format_figure5,
-    format_figure6,
-    format_figure7,
+    tabulate_figure12,
+    tabulate_figure13,
+    tabulate_figure14,
+    tabulate_figure15,
+    tabulate_figure16,
+    tabulate_figure5,
+    tabulate_figure6,
+    tabulate_figure7,
 )
 from repro.analysis.tables import (
     format_table,
-    format_table2,
-    format_table3,
-    format_table4,
-    format_table5,
-    format_table6,
+    tabulate_darp_components,
+    tabulate_dsarp_additivity,
+    tabulate_table2,
+    tabulate_table3,
+    tabulate_table4,
+    tabulate_table5,
+    tabulate_table6,
 )
 from repro.sim.projections import refresh_latency_trend
 
@@ -44,36 +50,38 @@ class TestProjections:
 
 class TestFigureFormatters:
     def test_figure5(self):
-        text = format_figure5(refresh_latency_trend((8, 32)))
+        text = tabulate_figure5(refresh_latency_trend((8, 32))).to_text()
         assert "Figure 5" in text and "890" in text
 
     def test_figure6(self):
         data = {0: {8: 1.0, 32: 2.0}, 25: {8: 1.5, 32: 3.0}, 50: {8: 2.0, 32: 4.0},
                 75: {8: 2.5, 32: 5.0}, 100: {8: 3.0, 32: 6.0}, -1: {8: 2.0, 32: 4.0}}
-        text = format_figure6(data)
+        text = tabulate_figure6(data).to_text()
         assert "100%" in text and "Mean" in text
 
     def test_figure7(self):
-        text = format_figure7({8: {"refab": 5.0, "refpb": 2.0}})
+        text = tabulate_figure7({8: {"refab": 5.0, "refpb": 2.0}}).to_text()
         assert "REFab loss" in text and "5.0" in text
 
     def test_figure12(self):
         sweep = {8: {"mix000_00": {"refab": 1.0, "dsarp": 1.05}}}
-        text = format_figure12(sweep)
+        (block,) = tabulate_figure12(sweep)
+        text = block.to_text()
         assert "mix000_00" in text and "1.050" in text
 
     def test_figure13_14(self):
         data = {8: {"refab": 0.0, "dsarp": 5.0}}
-        assert "dsarp" in format_figure13(data)
-        assert "dsarp" in format_figure14({8: {"refab": 30.0, "dsarp": 28.0}})
+        assert "dsarp" in tabulate_figure13(data).to_text()
+        energy = {8: {"refab": 30.0, "dsarp": 28.0}}
+        assert "dsarp" in tabulate_figure14(energy).to_text()
 
     def test_figure15(self):
         data = {0: {8: {"vs_refab": 1.0, "vs_refpb": 0.5}}}
-        text = format_figure15(data)
+        text = tabulate_figure15(data).to_text()
         assert "vs REFab" in text
 
     def test_figure16(self):
-        text = format_figure16({8: {"refab": 1.0, "fgr4x": 0.8}})
+        text = tabulate_figure16({8: {"refab": 1.0, "fgr4x": 0.8}}).to_text()
         assert "fgr4x" in text and "0.800" in text
 
 
@@ -85,7 +93,8 @@ class TestTableFormatters:
             "max_refab": 2.0,
             "gmean_refab": 1.0,
         }
-        text = format_table2({8: {"darp": entry, "sarppb": entry, "dsarp": entry}})
+        summary = {8: {"darp": entry, "sarppb": entry, "dsarp": entry}}
+        text = tabulate_table2(summary).to_text()
         assert "DSARP" in text and "Gmean% vs REFab" in text
 
     def test_table3(self):
@@ -95,11 +104,11 @@ class TestTableFormatters:
             "maximum_slowdown_reduction": 1.0,
             "energy_per_access_reduction": 1.0,
         }
-        assert "Cores" in format_table3({2: entry, 8: entry})
+        assert "Cores" in tabulate_table3({2: entry, 8: entry}).to_text()
 
     def test_table4_and_5(self):
-        assert "tFAW" in format_table4({5: 10.0, 20: 5.0})
-        assert "Subarrays" in format_table5({1: 0.0, 8: 5.0})
+        assert "tFAW" in tabulate_table4({5: 10.0, 20: 5.0}).to_text()
+        assert "Subarrays" in tabulate_table5({1: 0.0, 8: 5.0}).to_text()
 
     def test_table6(self):
         entry = {
@@ -108,4 +117,11 @@ class TestTableFormatters:
             "max_refab": 2.0,
             "gmean_refab": 1.0,
         }
-        assert "64 ms" in format_table6({8: entry})
+        assert "64 ms" in tabulate_table6({8: entry}).to_text()
+
+    def test_ablations(self):
+        components = {8: {"out_of_order_only": 1.0, "darp": 2.5}}
+        text = tabulate_darp_components(components).to_text()
+        assert "Out-of-order only" in text and "+2.5" in text
+        text = tabulate_dsarp_additivity({"darp": 1.0, "dsarp": 3.25}).to_text()
+        assert "32 Gb" in text and "+3.25" in text

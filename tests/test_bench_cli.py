@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.bench import all_specs
+from repro.bench import BenchSpec, all_specs
 from repro.cli import main
 
 
@@ -71,6 +71,38 @@ class TestBenchRun:
         # ... so the document stays loadable by compare.
         code, _, _ = run_cli(["bench", "compare", str(json_path), str(json_path)])
         assert code == 0
+
+    def test_summary_names_benchmarks_off_the_shared_runner(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.bench import spec as bench_spec
+        from repro.sim.runner import ExperimentRunner
+
+        from tests.conftest import small_system, small_workload
+
+        def private_engine(context):
+            """Simulate one short cell on a runner of its own."""
+            runner = ExperimentRunner(cycles=400, warmup=80)
+            return runner.simulate(small_system("refab"), small_workload())
+
+        def shared_engine(context):
+            """Simulate one short cell on the shared runner."""
+            return context.runner.simulate(small_system("refab"), small_workload())
+
+        bench_spec.load_suite()
+        for target in (private_engine, shared_engine):
+            spec = BenchSpec(name=target.__name__, target=target)
+            monkeypatch.setitem(bench_spec._REGISTRY, spec.name, spec)
+        monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
+        code, _, err = run_cli(
+            ["bench", "run", "--only", "private_engine", "--only", "shared_engine"]
+            + ["--cycles", "400", "--warmup", "80"]
+        )
+        assert code == 0, err
+        # The shared runner's counts are labelled as such, never as the run's.
+        assert "run summary:" not in err
+        assert "shared runner summary: 1 jobs planned — 1 simulated" in err
+        assert "(1 planned no jobs on it): private_engine\n" in err
 
     def test_unknown_benchmark_is_a_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))

@@ -15,8 +15,9 @@ from repro.bench import (
 )
 from repro.sim.runner import ExperimentRunner
 
-#: Names of the benchmarks ported from ``benchmarks/bench_*.py``; the
-#: quick tier must keep covering all of them.
+#: Benchmark names that ``benchmarks/baseline.json`` and
+#: ``benchmarks/history/`` are keyed by; the quick tier must keep
+#: covering all of them.
 PORTED_BENCHMARKS = (
     "ablation_darp_components",
     "ablation_dsarp_additivity",

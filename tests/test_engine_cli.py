@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import main
+from repro.sim.registry import EXPERIMENTS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -67,6 +68,13 @@ class TestRunCommand:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             run_cli(["run", "figure99"])
+
+    @pytest.mark.parametrize("densities", ["-8", "0", "8,0"])
+    def test_non_positive_density_is_a_usage_error(self, densities, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["run", "figure7", "--densities", densities])
+        assert excinfo.value.code == 2
+        assert "densities must be positive" in capsys.readouterr().err
 
     def test_output_file(self, tmp_path):
         out_path = tmp_path / "figure5.json"

@@ -1,8 +1,8 @@
 """Smoke tests of the experiment harness at a very small scale.
 
 These verify the experiment functions wire workloads, configurations and
-aggregation together correctly; the full-scale versions live in the
-benchmark harness (``benchmarks/``).
+aggregation together correctly; the full-scale versions run as
+benchmarks (``repro bench run --only table2_summary``, ...).
 """
 
 import pytest

@@ -99,15 +99,15 @@ def test_profile_cli_prints_hotspot_table(monkeypatch):
     # A real experiment costs ~10s of simulator construction; a registry
     # stub keeps the CLI path end-to-end (parser -> runner -> engine ->
     # profiler table) while simulating one small cell.
-    import repro.cli as cli
+    from repro.sim.registry import EXPERIMENTS, Experiment
 
     from tests.conftest import small_system, small_workload
 
     def tiny(runner, scale):
         return runner.simulate(small_system("refab"), small_workload())
 
-    experiment = cli.Experiment("tiny", tiny, tiny)
-    monkeypatch.setitem(cli.EXPERIMENTS, "tiny", experiment)
+    experiment = Experiment("tiny", "Tiny", tiny, tabulate=list, bench="tiny")
+    monkeypatch.setitem(EXPERIMENTS, "tiny", experiment)
     stdout, stderr = io.StringIO(), io.StringIO()
     code = main(
         ["profile", "tiny", "--cycles", "400", "--warmup", "80", "--top", "3"],

@@ -18,11 +18,11 @@ import pytest
 
 from repro.cli import main
 from repro.report.paper import (
-    ARTIFACTS,
     GOLDEN_SCALE,
     ReportError,
     generate_paper_report,
 )
+from repro.sim.registry import EXPERIMENTS
 from repro.sim.runner import ExperimentRunner
 
 GOLDEN_ARGS = [
@@ -159,7 +159,8 @@ class TestRegistry:
         expected = {"table2", "table3", "table4", "table5", "table6"} | {
             f"figure{n}" for n in (5, 6, 7, 12, 13, 14, 15, 16)
         }
-        assert set(ARTIFACTS) == expected
+        charted = {name for name, record in EXPERIMENTS.items() if record.chart}
+        assert charted == expected
 
     def test_unknown_artifact_name_is_rejected(self, tmp_path):
         with pytest.raises(ReportError, match="unknown artifact"):

@@ -76,6 +76,20 @@ class TestRunSweep:
         ]
 
 
+    def test_non_positive_density_axis_is_refused(self):
+        spec = SweepSpec(
+            name="bad_density",
+            axes=(Axis("density_gb", (-8, 0)),),
+            mechanisms=("refab",),
+            baseline="refab",
+            workloads=WorkloadSpec(kind="intensive", count=1, num_cores=2),
+        )
+        runner = ExperimentRunner(cycles=CYCLES, warmup=WARMUP)
+        with pytest.raises(ValueError, match="density_gb"):
+            run_sweep(spec, runner=runner)
+        assert runner.summary()["simulated"] == 0
+
+
 class TestArtifacts:
     def test_run_dir_round_trip(self, tiny_result, tmp_path):
         out = write_run_dir(tmp_path / "run", tiny_result)
