@@ -33,7 +33,7 @@ from repro.config.presets import paper_system
 from repro.engine.executor import ParallelExecutor, SerialExecutor
 from repro.engine.jobs import SimulationJob
 from repro.engine.store import JsonlStore
-from repro.sim import experiments
+from repro.sim.experiments import ExperimentScale
 from repro.sim.registry import EXPERIMENTS, Experiment
 from repro.sim.runner import DEFAULT_CYCLES, DEFAULT_WARMUP, ExperimentRunner
 from repro.sim.simulator import Simulator
@@ -87,7 +87,7 @@ for _experiment in EXPERIMENTS.values():
 # ---------------------------------------------------------------------------
 # Engine scaling: serial versus parallel fan-out
 # ---------------------------------------------------------------------------
-ENGINE_SCALING_SCALE = experiments.ExperimentScale(
+ENGINE_SCALING_SCALE = ExperimentScale(
     workloads_per_category=1, densities=(32,)
 )
 
@@ -138,9 +138,7 @@ def _engine_scaling(context: BenchContext):
     def sweep(executor):
         runner = ExperimentRunner(executor=executor)
         start = perf_counter()
-        result = experiments.figure12_workload_sweep(
-            runner=runner, scale=ENGINE_SCALING_SCALE
-        )
+        result = EXPERIMENTS["figure12"].run(runner, ENGINE_SCALING_SCALE)
         return result, perf_counter() - start, runner.summary()
 
     serial_result, serial_s, serial_summary = sweep(SerialExecutor())

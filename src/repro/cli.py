@@ -47,8 +47,17 @@ from repro.engine.executor import JobExecutor, ParallelExecutor, SerialExecutor
 from repro.engine.progress import ProgressPrinter
 from repro.engine.store import STORE_BACKENDS, open_store
 from repro.sim.experiments import ExperimentScale
-from repro.sim.registry import EXPERIMENTS
+from repro.sim.registry import EXPERIMENTS, builtin_specs
 from repro.sim.runner import ExperimentRunner
+from repro.sweep import (
+    SpecError,
+    SweepSpec,
+    describe_plan,
+    plan_sweep,
+    run_sweep,
+    summarize,
+    write_run_dir,
+)
 
 
 def _to_jsonable(value: object) -> object:
@@ -867,11 +876,8 @@ def _run_command(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> in
     return 0
 
 
-def _load_sweep_spec(text: str):
+def _load_sweep_spec(text: str) -> SweepSpec:
     """Resolve the ``sweep`` positional: a spec file, run dir or builtin name."""
-    from repro.sweep import SpecError, SweepSpec
-    from repro.sweep.builtin import BUILTIN_SPECS, builtin_spec
-
     if os.path.isdir(text):
         # Run directories are advertised as re-runnable; accept the
         # directory itself and use the spec it contains.
@@ -881,11 +887,12 @@ def _load_sweep_spec(text: str):
         return SweepSpec.load(candidate)
     if os.path.exists(text):
         return SweepSpec.load(text)
-    if text in BUILTIN_SPECS:
-        return builtin_spec(text, ExperimentScale.from_environment())
+    builtins = builtin_specs(ExperimentScale.from_environment())
+    if text in builtins:
+        return builtins[text]
     raise SpecError(
         f"{text!r} is neither a spec file nor a built-in sweep "
-        f"(built-ins: {', '.join(sorted(BUILTIN_SPECS))})"
+        f"(built-ins: {', '.join(sorted(builtins))})"
     )
 
 
@@ -909,20 +916,16 @@ def _apply_policy_flags(spec, scheduler: Optional[str], page_policy: Optional[st
 
 
 def _sweep_command(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
-    from repro.sweep import (
-        SpecError,
-        describe_plan,
-        run_sweep,
-        summarize,
-        write_run_dir,
-    )
-
     try:
-        spec = _load_sweep_spec(args.spec)
+        spec = _apply_policy_flags(
+            _load_sweep_spec(args.spec), args.scheduler, args.page_policy
+        )
+        # Build every point before --dry-run approves the spec or anything
+        # simulates: a spec can parse and still name an impossible point.
+        plan_sweep(spec)
     except (SpecError, OSError) as error:
         stderr.write(f"error: {error}\n")
         return 2
-    spec = _apply_policy_flags(spec, args.scheduler, args.page_policy)
     stderr.write(describe_plan(spec) + "\n")
     if args.dry_run:
         return 0
@@ -1288,27 +1291,40 @@ def main(
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        from repro.sweep.builtin import BUILTIN_SPECS
+    try:
+        code = _dispatch(args, stdout, stderr)
+        stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``repro list | head -1``).  Python's
+        # documented recipe: point stdout at devnull so the interpreter's
+        # exit-time flush cannot raise again, and exit non-zero.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
-        width = max(
-            max(len(name) for name in EXPERIMENTS),
-            max(len(name) for name in BUILTIN_SPECS),
-        )
-        stdout.write("experiments (repro run <name>):\n")
-        for name in sorted(EXPERIMENTS):
-            stdout.write(f"  {name:<{width}}  {EXPERIMENTS[name].description}\n")
-        stdout.write("\nbuilt-in sweeps (repro sweep <name>):\n")
-        for name in sorted(BUILTIN_SPECS):
-            description = BUILTIN_SPECS[name]().description
-            stdout.write(f"  {name:<{width}}  {description}\n")
-        stdout.write("\nscheduler policies (--scheduler, sweep axis 'scheduler'):\n")
-        for name, description in scheduler_descriptions().items():
-            stdout.write(f"  {name:<{width}}  {description}\n")
-        stdout.write("\npage policies (--page-policy, sweep axis 'page_policy'):\n")
-        for name, description in PAGE_POLICY_DESCRIPTIONS.items():
-            stdout.write(f"  {name:<{width}}  {description}\n")
-        return 0
+
+def _list_command(stdout: TextIO) -> int:
+    sweeps = builtin_specs(ExperimentScale.from_environment())
+    width = max(len(name) for name in [*EXPERIMENTS, *sweeps])
+    stdout.write("experiments (repro run <name>):\n")
+    for name in sorted(EXPERIMENTS):
+        stdout.write(f"  {name:<{width}}  {EXPERIMENTS[name].description}\n")
+    stdout.write("\nbuilt-in sweeps (repro sweep <name>):\n")
+    for name in sorted(sweeps):
+        stdout.write(f"  {name:<{width}}  {sweeps[name].description}\n")
+    stdout.write("\nscheduler policies (--scheduler, sweep axis 'scheduler'):\n")
+    for name, description in scheduler_descriptions().items():
+        stdout.write(f"  {name:<{width}}  {description}\n")
+    stdout.write("\npage policies (--page-policy, sweep axis 'page_policy'):\n")
+    for name, description in PAGE_POLICY_DESCRIPTIONS.items():
+        stdout.write(f"  {name:<{width}}  {description}\n")
+    return 0
+
+
+def _dispatch(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
+    if args.command == "list":
+        return _list_command(stdout)
     if args.command == "sweep":
         return _sweep_command(args, stdout, stderr)
     if args.command == "bench":

@@ -4,7 +4,7 @@ Following the SimCash ``paper_generator`` pattern, every headline artifact
 of the reproduction is regenerated from data rather than copied from test
 output: each record of the experiment registry
 (:data:`repro.sim.registry.EXPERIMENTS`) that has a chart names one paper
-table/figure, the experiment function that produces its payload, the
+table/figure, the sweep spec and aggregate that produce its payload, the
 :mod:`repro.analysis` tabulation that models it, and the chart extraction
 for the SVG plot.  :func:`generate_paper_report` runs the experiments
 through a shared (optionally store-backed)

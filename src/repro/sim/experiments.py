@@ -1,38 +1,49 @@
-"""Paper experiment definitions: one function per figure / table.
+"""Paper experiment definitions: a sweep spec and an aggregate per result.
 
-Every function reproduces the *structure* of one of the paper's results —
-the same mechanisms, sweeps and aggregation — on the synthetic workload
-suite.  The default scale (workloads per category, simulated cycles) is far
-below the paper's 100 workloads x 256 M cycles so the whole harness runs on
-a laptop; set ``REPRO_FULL=1`` or pass explicit parameters to scale up.
+Every simulated result of the paper is a grid of refresh mechanism x one
+swept knob (usually DRAM density) x workload, reduced to a few numbers.
+Each such result is written here as two pieces:
 
-All functions share an :class:`~repro.sim.runner.ExperimentRunner`, whose
-memoization ensures that, e.g., the REFab baseline runs are simulated only
-once even though several figures need them.
+* a spec factory (``figure6_spec``, ...) mapping an :class:`ExperimentScale`
+  to the declarative :class:`~repro.sweep.spec.SweepSpec` of its grid, and
+* an aggregate (``figure6_refab_performance_loss``, ...) reducing the
+  :class:`~repro.sweep.compile.SweepResult` to the result's payload.
 
-Each docstring's first line describes the experiment on every surface,
-and its body quotes the paper's own numbers.
-:data:`repro.sim.registry.EXPERIMENTS` pairs each function with its
-tables, chart, benchmark metrics and trend checks.
+:data:`repro.sim.registry.EXPERIMENTS` pairs them, so running an
+experiment is ``aggregate(run_sweep(spec(scale), runner))``: one engine
+batch for the whole grid, every density included, with the runner's
+memoization and result store shared across experiments.  Each spec is
+named after its aggregate, and ``repro sweep <name>`` runs it alone.
+Table 2 reduces Figure 12's grid.  Only Figure 5 (closed-form) and the
+DARP component breakdown (whose "DARP without write-refresh
+parallelization" variant is not a mechanism a spec can name) remain
+plain functions.
+
+The default scale (workloads per category, simulated cycles) is far
+below the paper's 100 workloads x 256 M cycles so the whole harness runs
+on a laptop; set ``REPRO_FULL=1`` or pass explicit parameters to scale up.
+
+Each aggregate's docstring's first line describes the experiment on every
+surface, and its body quotes the paper's own numbers.  The aggregates
+iterate cells in plan order (point, then workload, then mechanism), so
+every floating-point accumulation matches a per-density loop over
+``compare_many`` bit for bit.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional
 
 from repro.config.presets import paper_system
-from repro.config.refresh_config import RefreshMechanism
 from repro.metrics.speedup import average_percent_improvement, geometric_mean
 from repro.sim.projections import RefreshLatencyPoint, refresh_latency_trend
 from repro.sim.runner import ExperimentRunner, get_default_runner
-from repro.workloads.mixes import (
-    INTENSITY_CATEGORIES,
-    Workload,
-    make_workload_sweep,
-    memory_intensive_workloads,
-)
+from repro.sweep.compile import SweepCell, SweepResult
+from repro.sweep.spec import Axis, SweepSpec, WorkloadSpec
+from repro.workloads.mixes import INTENSITY_CATEGORIES, make_workload_sweep
 
 #: The paper's three evaluated DRAM densities (Gb).
 DEFAULT_DENSITIES: tuple[int, ...] = (8, 16, 32)
@@ -58,16 +69,66 @@ def default_scale() -> ExperimentScale:
     return ExperimentScale.from_environment()
 
 
-def _runner(runner: Optional[ExperimentRunner]) -> ExperimentRunner:
-    return runner if runner is not None else get_default_runner()
+# ---------------------------------------------------------------------------
+# Spec and aggregation helpers
+# ---------------------------------------------------------------------------
+def _spec(
+    aggregate: Callable,
+    scale: ExperimentScale,
+    mechanisms: tuple[str, ...],
+    baseline: str = "refab",
+    axis: Optional[Axis] = None,
+    intensive: bool = False,
+    base: Optional[dict] = None,
+) -> SweepSpec:
+    """A one-axis spec named and described after its aggregate.
+
+    The axis defaults to the scale's densities.  The workloads are the
+    figure-level set (``scale.workloads_per_category`` per intensity
+    category), or with ``intensive`` the sensitivity-study set
+    (``scale.sensitivity_workloads`` random memory-intensive mixes).
+    """
+    description = (inspect.getdoc(aggregate) or "").split("\n", 1)[0].rstrip(".")
+    if intensive:
+        workloads = WorkloadSpec(kind="intensive", count=scale.sensitivity_workloads)
+    else:
+        workloads = WorkloadSpec(
+            kind="category_sweep", count=scale.workloads_per_category
+        )
+    return SweepSpec(
+        name=aggregate.__name__,
+        description=description,
+        axes=(axis or Axis("density_gb", scale.densities),),
+        mechanisms=mechanisms,
+        baseline=baseline,
+        base=base or {},
+        workloads=workloads,
+    )
 
 
-def _sweep_workloads(scale: ExperimentScale) -> list[Workload]:
-    return make_workload_sweep(workloads_per_category=scale.workloads_per_category)
+def _by_point(sweep: SweepResult) -> dict[object, dict[str, dict[str, SweepCell]]]:
+    """Cells as ``{axis value: {workload: {mechanism: cell}}}``, in plan order.
+
+    Every spec here has one axis, so its value names the design point.
+    Plain dicts keep insertion order: points come in axis order, and a
+    point's workloads and mechanisms in the order the spec planned them.
+    """
+    (axis,) = sweep.spec.axis_names()
+    table: dict[object, dict[str, dict[str, SweepCell]]] = {}
+    for cell in sweep.cells:
+        per_point = table.setdefault(cell.point[axis], {})
+        per_point.setdefault(cell.workload, {})[cell.mechanism] = cell
+    return table
 
 
-def _sensitivity_workloads(scale: ExperimentScale) -> list[Workload]:
-    return memory_intensive_workloads(count=scale.sensitivity_workloads)
+def _normalized(cells: dict[str, SweepCell], baseline: str) -> dict[str, float]:
+    """Every mechanism's weighted speedup normalized to ``baseline``'s."""
+    base = cells[baseline].weighted_speedup
+    return {name: cell.weighted_speedup / base for name, cell in cells.items()}
+
+
+def _mean(values: list[float]) -> float:
+    return sum(values) / len(values) if values else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +148,7 @@ def figure5_refresh_latency_trend(
 # ---------------------------------------------------------------------------
 # Figures 6 and 7: performance loss of the refresh baselines vs the ideal
 # ---------------------------------------------------------------------------
-def figure6_refab_performance_loss(
-    runner: Optional[ExperimentRunner] = None,
-    scale: Optional[ExperimentScale] = None,
-) -> dict[int, dict[int, float]]:
+def figure6_refab_performance_loss(sweep: SweepResult) -> dict[int, dict[int, float]]:
     """Figure 6: % WS loss of REFab vs the no-refresh ideal.
 
     The paper reports the loss growing with both density and memory
@@ -100,66 +158,50 @@ def figure6_refab_performance_loss(
     Returns ``{category: {density: loss_percent}}`` with an extra key
     ``-1`` holding the all-category average per density.
     """
-    runner = _runner(runner)
-    scale = scale or default_scale()
-    workloads = _sweep_workloads(scale)
+    grid = _by_point(sweep)
     losses: dict[int, dict[int, list[float]]] = {
-        category: {density: [] for density in scale.densities}
-        for category in INTENSITY_CATEGORIES
+        category: {density: [] for density in grid} for category in INTENSITY_CATEGORIES
     }
-    for density in scale.densities:
-        base_config = paper_system(density_gb=density)
-        comparisons = runner.compare_many(
-            workloads, base_config, (RefreshMechanism.NONE, RefreshMechanism.REFAB)
-        )
-        for workload, comparison in zip(workloads, comparisons):
-            normalized = comparison.normalized_to(RefreshMechanism.NONE.value)
-            loss = (1.0 - normalized[RefreshMechanism.REFAB.value]) * 100.0
-            losses[workload.category][density].append(loss)
-    result: dict[int, dict[int, float]] = {}
-    for category, per_density in losses.items():
-        result[category] = {
-            density: (sum(vals) / len(vals) if vals else 0.0)
-            for density, vals in per_density.items()
-        }
+    for density, per_workload in grid.items():
+        for cells in per_workload.values():
+            loss = (1.0 - _normalized(cells, "none")["refab"]) * 100.0
+            losses[cells["refab"].category][density].append(loss)
+    result: dict[int, dict[int, float]] = {
+        category: {density: _mean(values) for density, values in per_density.items()}
+        for category, per_density in losses.items()
+    }
     result[-1] = {
         density: sum(result[c][density] for c in INTENSITY_CATEGORIES)
         / len(INTENSITY_CATEGORIES)
-        for density in scale.densities
+        for density in grid
     }
     return result
 
 
-def figure7_refab_vs_refpb_loss(
-    runner: Optional[ExperimentRunner] = None,
-    scale: Optional[ExperimentScale] = None,
-) -> dict[int, dict[str, float]]:
+def figure6_spec(scale: ExperimentScale) -> SweepSpec:
+    return _spec(figure6_refab_performance_loss, scale, ("none", "refab"), "none")
+
+
+def figure7_refab_vs_refpb_loss(sweep: SweepResult) -> dict[int, dict[str, float]]:
     """Figure 7: average % WS loss of REFab and REFpb vs the ideal, per density.
 
     The paper shows per-bank refresh recovering part of all-bank
     refresh's loss at every density, while still leaving a significant
     gap at 32 Gb.
     """
-    runner = _runner(runner)
-    scale = scale or default_scale()
-    workloads = _sweep_workloads(scale)
     result: dict[int, dict[str, float]] = {}
-    for density in scale.densities:
-        base_config = paper_system(density_gb=density)
-        losses = {"refab": [], "refpb": []}
-        comparisons = runner.compare_many(
-            workloads,
-            base_config,
-            (RefreshMechanism.NONE, RefreshMechanism.REFAB, RefreshMechanism.REFPB),
-        )
-        for comparison in comparisons:
-            normalized = comparison.normalized_to(RefreshMechanism.NONE.value)
-            losses["refab"].append((1.0 - normalized["refab"]) * 100.0)
-            losses["refpb"].append((1.0 - normalized["refpb"]) * 100.0)
-        result[density] = {
-            mech: sum(values) / len(values) for mech, values in losses.items()
-        }
+    for density, per_workload in _by_point(sweep).items():
+        losses: dict[str, list[float]] = {"refab": [], "refpb": []}
+        for cells in per_workload.values():
+            normalized = _normalized(cells, "none")
+            for mechanism, values in losses.items():
+                values.append((1.0 - normalized[mechanism]) * 100.0)
+        result[density] = {name: _mean(values) for name, values in losses.items()}
     return result
+
+
+def figure7_spec(scale: ExperimentScale) -> SweepSpec:
+    return _spec(figure7_refab_vs_refpb_loss, scale, ("none", "refab", "refpb"), "none")
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +211,7 @@ MAIN_MECHANISMS: tuple[str, ...] = ("refab", "refpb", "darp", "sarppb", "dsarp")
 
 
 def figure12_workload_sweep(
-    runner: Optional[ExperimentRunner] = None,
-    scale: Optional[ExperimentScale] = None,
-    mechanisms: Sequence[str] = MAIN_MECHANISMS,
+    sweep: SweepResult,
 ) -> dict[int, dict[str, dict[str, float]]]:
     """Figure 12: per-workload WS normalized to REFab, per density.
 
@@ -180,24 +220,21 @@ def figure12_workload_sweep(
 
     Returns ``{density: {workload_name: {mechanism: normalized_ws}}}``.
     """
-    runner = _runner(runner)
-    scale = scale or default_scale()
-    workloads = _sweep_workloads(scale)
-    result: dict[int, dict[str, dict[str, float]]] = {}
-    for density in scale.densities:
-        base_config = paper_system(density_gb=density)
-        per_workload: dict[str, dict[str, float]] = {}
-        comparisons = runner.compare_many(workloads, base_config, mechanisms)
-        for workload, comparison in zip(workloads, comparisons):
-            per_workload[workload.name] = comparison.normalized_to("refab")
-        result[density] = per_workload
-    return result
+    return {
+        density: {
+            workload: _normalized(cells, "refab")
+            for workload, cells in per_workload.items()
+        }
+        for density, per_workload in _by_point(sweep).items()
+    }
+
+
+def figure12_spec(scale: ExperimentScale) -> SweepSpec:
+    return _spec(figure12_workload_sweep, scale, MAIN_MECHANISMS)
 
 
 def table2_improvement_summary(
-    runner: Optional[ExperimentRunner] = None,
-    scale: Optional[ExperimentScale] = None,
-    sweep: Optional[dict[int, dict[str, dict[str, float]]]] = None,
+    sweep: SweepResult,
 ) -> dict[int, dict[str, dict[str, float]]]:
     """Table 2: max and gmean WS improvement over REFpb and REFab.
 
@@ -205,14 +242,22 @@ def table2_improvement_summary(
     7.2 % / 15.2 % at 8 / 16 / 32 Gb, larger over REFab, and it grows with
     density.
 
+    Runs on Figure 12's grid; see :func:`table2_from_figure12`.
+    """
+    return table2_from_figure12(figure12_workload_sweep(sweep))
+
+
+def table2_from_figure12(
+    per_density: dict[int, dict[str, dict[str, float]]],
+) -> dict[int, dict[str, dict[str, float]]]:
+    """Reduce a Figure 12 payload to Table 2.
+
     Returns ``{density: {mechanism: {"max_refpb", "gmean_refpb",
     "max_refab", "gmean_refab"}}}`` (all in percent) for DARP, SARPpb and
     DSARP.
     """
-    if sweep is None:
-        sweep = figure12_workload_sweep(runner=runner, scale=scale)
     result: dict[int, dict[str, dict[str, float]]] = {}
-    for density, per_workload in sweep.items():
+    for density, per_workload in per_density.items():
         result[density] = {}
         for mechanism in ("darp", "sarppb", "dsarp"):
             over_refab = []
@@ -244,28 +289,19 @@ ALL_MECHANISMS: tuple[str, ...] = (
 )
 
 
-def figure13_all_mechanisms(
-    runner: Optional[ExperimentRunner] = None,
-    scale: Optional[ExperimentScale] = None,
-    mechanisms: Sequence[str] = ALL_MECHANISMS,
-) -> dict[int, dict[str, float]]:
+def figure13_all_mechanisms(sweep: SweepResult) -> dict[int, dict[str, float]]:
     """Figure 13: average % WS improvement over REFab for every mechanism.
 
     The paper's ordering at every density is REFab < elastic refresh
     (~1.8 %) <= REFpb < DARP, SARPab, SARPpb < DSARP <= No-REF, with
     DSARP capturing most of the ideal No-REF benefit.
     """
-    runner = _runner(runner)
-    scale = scale or default_scale()
-    workloads = _sweep_workloads(scale)
     result: dict[int, dict[str, float]] = {}
-    for density in scale.densities:
-        base_config = paper_system(density_gb=density)
-        improvements: dict[str, list[float]] = {m: [] for m in mechanisms}
-        for comparison in runner.compare_many(workloads, base_config, mechanisms):
-            normalized = comparison.normalized_to("refab")
-            for mechanism in mechanisms:
-                improvements[mechanism].append((normalized[mechanism] - 1.0) * 100.0)
+    for density, per_workload in _by_point(sweep).items():
+        improvements: dict[str, list[float]] = {m: [] for m in sweep.spec.mechanisms}
+        for cells in per_workload.values():
+            for mechanism, value in _normalized(cells, "refab").items():
+                improvements[mechanism].append((value - 1.0) * 100.0)
         result[density] = {
             mechanism: average_percent_improvement(values)
             for mechanism, values in improvements.items()
@@ -273,11 +309,11 @@ def figure13_all_mechanisms(
     return result
 
 
-def figure14_energy_per_access(
-    runner: Optional[ExperimentRunner] = None,
-    scale: Optional[ExperimentScale] = None,
-    mechanisms: Sequence[str] = ALL_MECHANISMS,
-) -> dict[int, dict[str, float]]:
+def figure13_spec(scale: ExperimentScale) -> SweepSpec:
+    return _spec(figure13_all_mechanisms, scale, ALL_MECHANISMS)
+
+
+def figure14_energy_per_access(sweep: SweepResult) -> dict[int, dict[str, float]]:
     """Figure 14: average energy per access (nJ) for every mechanism.
 
     The paper reports DSARP reducing energy per access versus REFab by
@@ -289,32 +325,30 @@ def figure14_energy_per_access(
     dominated by the 0 %-intensive mix, whose handful of DRAM accesses make
     its per-access energy mostly background noise.
     """
-    runner = _runner(runner)
-    scale = scale or default_scale()
-    workloads = _sweep_workloads(scale)
     result: dict[int, dict[str, float]] = {}
-    for density in scale.densities:
-        base_config = paper_system(density_gb=density)
-        total_energy: dict[str, float] = {m: 0.0 for m in mechanisms}
-        total_accesses: dict[str, int] = {m: 0 for m in mechanisms}
-        for comparison in runner.compare_many(workloads, base_config, mechanisms):
-            for mechanism in mechanisms:
-                energy = comparison.results[mechanism].simulation.energy
-                total_energy[mechanism] += energy["total_nj"]
-                total_accesses[mechanism] += energy["accesses"]
+    for density, per_workload in _by_point(sweep).items():
+        total_energy: dict[str, float] = {m: 0.0 for m in sweep.spec.mechanisms}
+        total_accesses: dict[str, int] = {m: 0 for m in sweep.spec.mechanisms}
+        for cells in per_workload.values():
+            for mechanism, cell in cells.items():
+                total_energy[mechanism] += cell.energy_nj
+                total_accesses[mechanism] += cell.accesses
         result[density] = {
             mechanism: total_energy[mechanism] / max(1, total_accesses[mechanism])
-            for mechanism in mechanisms
+            for mechanism in total_energy
         }
     return result
+
+
+def figure14_spec(scale: ExperimentScale) -> SweepSpec:
+    return _spec(figure14_energy_per_access, scale, ALL_MECHANISMS)
 
 
 # ---------------------------------------------------------------------------
 # Figure 15: DSARP gains versus memory intensity
 # ---------------------------------------------------------------------------
 def figure15_memory_intensity(
-    runner: Optional[ExperimentRunner] = None,
-    scale: Optional[ExperimentScale] = None,
+    sweep: SweepResult,
 ) -> dict[int, dict[int, dict[str, float]]]:
     """Figure 15: DSARP % WS gain over REFab and REFpb by intensity category.
 
@@ -323,134 +357,173 @@ def figure15_memory_intensity(
 
     Returns ``{category: {density: {"vs_refab": pct, "vs_refpb": pct}}}``.
     """
-    runner = _runner(runner)
-    scale = scale or default_scale()
-    workloads = _sweep_workloads(scale)
+    grid = _by_point(sweep)
     gains: dict[int, dict[int, dict[str, list[float]]]] = {
-        category: {
-            density: {"vs_refab": [], "vs_refpb": []} for density in scale.densities
-        }
+        category: {density: {"vs_refab": [], "vs_refpb": []} for density in grid}
         for category in INTENSITY_CATEGORIES
     }
-    for density in scale.densities:
-        base_config = paper_system(density_gb=density)
-        comparisons = runner.compare_many(
-            workloads, base_config, ("refab", "refpb", "dsarp")
-        )
-        for workload, comparison in zip(workloads, comparisons):
-            normalized = comparison.normalized_to("refab")
-            bucket = gains[workload.category][density]
+    for density, per_workload in grid.items():
+        for cells in per_workload.values():
+            normalized = _normalized(cells, "refab")
+            bucket = gains[cells["refab"].category][density]
             bucket["vs_refab"].append((normalized["dsarp"] - 1.0) * 100.0)
             bucket["vs_refpb"].append(
                 (normalized["dsarp"] / normalized["refpb"] - 1.0) * 100.0
             )
-    result: dict[int, dict[int, dict[str, float]]] = {}
-    for category, per_density in gains.items():
-        result[category] = {}
-        for density, buckets in per_density.items():
-            result[category][density] = {
-                key: (sum(vals) / len(vals) if vals else 0.0)
-                for key, vals in buckets.items()
-            }
-    return result
+    return {
+        category: {
+            density: {key: _mean(values) for key, values in buckets.items()}
+            for density, buckets in per_density.items()
+        }
+        for category, per_density in gains.items()
+    }
+
+
+def figure15_spec(scale: ExperimentScale) -> SweepSpec:
+    return _spec(figure15_memory_intensity, scale, ("refab", "refpb", "dsarp"))
 
 
 # ---------------------------------------------------------------------------
 # Table 3: core-count sensitivity
 # ---------------------------------------------------------------------------
-def table3_core_count(
-    runner: Optional[ExperimentRunner] = None,
-    scale: Optional[ExperimentScale] = None,
-    core_counts: tuple[int, ...] = (2, 4, 8),
-    density_gb: int = 32,
-) -> dict[int, dict[str, float]]:
+def table3_core_count(sweep: SweepResult) -> dict[int, dict[str, float]]:
     """Table 3: DSARP vs REFab across core counts (WS, HS, fairness, energy).
 
     The paper reports every improvement growing with core count: 16 % /
     20 % / 27 % WS improvement for 2 / 4 / 8 cores at 32 Gb.
     """
-    # Delegated to the declarative sweep subsystem (a one-axis core-count
-    # spec); imported lazily because repro.sweep builds on this module.
-    from repro.sweep.builtin import table3_core_count_via_sweep
+    result: dict[int, dict[str, float]] = {}
+    for cores, per_workload in _by_point(sweep).items():
+        ws_gains, hs_gains, slowdown_reductions, energy_reductions = [], [], [], []
+        for cells in per_workload.values():
+            refab, dsarp = cells["refab"], cells["dsarp"]
+            ws_gains.append(
+                (dsarp.weighted_speedup / refab.weighted_speedup - 1.0) * 100.0
+            )
+            hs_gains.append(
+                (dsarp.harmonic_speedup / refab.harmonic_speedup - 1.0) * 100.0
+            )
+            slowdown_reductions.append(
+                (1.0 - dsarp.maximum_slowdown / refab.maximum_slowdown) * 100.0
+            )
+            energy_reductions.append(
+                (1.0 - dsarp.energy_per_access_nj / refab.energy_per_access_nj) * 100.0
+            )
+        result[cores] = {
+            "weighted_speedup_improvement": _mean(ws_gains),
+            "harmonic_speedup_improvement": _mean(hs_gains),
+            "maximum_slowdown_reduction": _mean(slowdown_reductions),
+            "energy_per_access_reduction": _mean(energy_reductions),
+        }
+    return result
 
-    return table3_core_count_via_sweep(
-        runner=_runner(runner),
-        scale=scale or default_scale(),
-        core_counts=core_counts,
-        density_gb=density_gb,
+
+def table3_spec(scale: ExperimentScale) -> SweepSpec:
+    return _spec(
+        table3_core_count,
+        scale,
+        ("refab", "dsarp"),
+        axis=Axis("num_cores", (2, 4, 8)),
+        intensive=True,
+        base={"density_gb": 32},
     )
 
 
 # ---------------------------------------------------------------------------
-# Table 4: tFAW / tRRD sensitivity of SARPpb
+# Tables 4 and 5: tFAW / tRRD and subarrays-per-bank sensitivity of SARPpb
 # ---------------------------------------------------------------------------
-def table4_tfaw_sensitivity(
-    runner: Optional[ExperimentRunner] = None,
-    scale: Optional[ExperimentScale] = None,
-    tfaw_values: tuple[int, ...] = (5, 10, 15, 20, 25, 30),
-    density_gb: int = 32,
-) -> dict[int, float]:
+def _sarppb_gain_by_point(sweep: SweepResult) -> dict[int, float]:
+    """Gmean % WS gain of SARPpb over REFpb at every design point."""
+    return {
+        value: average_percent_improvement(
+            [
+                (_normalized(cells, "refpb")["sarppb"] - 1.0) * 100.0
+                for cells in per_workload.values()
+            ]
+        )
+        for value, per_workload in _by_point(sweep).items()
+    }
+
+
+def table4_tfaw_sensitivity(sweep: SweepResult) -> dict[int, float]:
     """Table 4: % WS improvement of SARPpb over REFpb as tFAW/tRRD vary.
 
     The paper reports the gain growing as tFAW shrinks, from 10.3 % at
     tFAW = 30 cycles to 14.0 % at tFAW = 5 cycles: a looser activation
     budget lets more accesses proceed in parallel with refreshes.
     """
-    from repro.sweep.builtin import table4_tfaw_via_sweep
+    return _sarppb_gain_by_point(sweep)
 
-    return table4_tfaw_via_sweep(
-        runner=_runner(runner),
-        scale=scale or default_scale(),
-        tfaw_values=tfaw_values,
-        density_gb=density_gb,
+
+def table4_spec(scale: ExperimentScale) -> SweepSpec:
+    # tRRD follows the paper's max(1, tFAW // 5) pairing, applied by the
+    # sweep compiler when tfaw is swept without an explicit trrd.
+    return _spec(
+        table4_tfaw_sensitivity,
+        scale,
+        ("refpb", "sarppb"),
+        baseline="refpb",
+        axis=Axis("tfaw", (5, 10, 15, 20, 25, 30)),
+        intensive=True,
+        base={"density_gb": 32},
     )
 
 
-# ---------------------------------------------------------------------------
-# Table 5: subarrays-per-bank sensitivity of SARPpb
-# ---------------------------------------------------------------------------
-def table5_subarray_sensitivity(
-    runner: Optional[ExperimentRunner] = None,
-    scale: Optional[ExperimentScale] = None,
-    subarray_counts: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64),
-    density_gb: int = 32,
-) -> dict[int, float]:
+def table5_subarray_sensitivity(sweep: SweepResult) -> dict[int, float]:
     """Table 5: % WS improvement of SARPpb over REFpb vs subarrays per bank.
 
     With one subarray per bank every access to a refreshing bank
     conflicts, so SARP cannot help.  The paper reports the gain growing
     from 0 % at one subarray to 16.9 % at 64, saturating beyond ~16.
     """
-    from repro.sweep.builtin import table5_subarrays_via_sweep
+    return _sarppb_gain_by_point(sweep)
 
-    return table5_subarrays_via_sweep(
-        runner=_runner(runner),
-        scale=scale or default_scale(),
-        subarray_counts=subarray_counts,
-        density_gb=density_gb,
+
+def table5_spec(scale: ExperimentScale) -> SweepSpec:
+    return _spec(
+        table5_subarray_sensitivity,
+        scale,
+        ("refpb", "sarppb"),
+        baseline="refpb",
+        axis=Axis("subarrays_per_bank", (1, 2, 4, 8, 16, 32, 64)),
+        intensive=True,
+        base={"density_gb": 32},
     )
 
 
 # ---------------------------------------------------------------------------
 # Table 6: 64 ms retention time
 # ---------------------------------------------------------------------------
-def table6_refresh_interval(
-    runner: Optional[ExperimentRunner] = None,
-    scale: Optional[ExperimentScale] = None,
-    retention_ms: float = 64.0,
-) -> dict[int, dict[str, float]]:
+def table6_refresh_interval(sweep: SweepResult) -> dict[int, dict[str, float]]:
     """Table 6: DSARP improvement over REFpb / REFab at 64 ms retention.
 
     Doubling the retention time halves the refresh rate, so every gain
     shrinks relative to 32 ms; the paper still shows DSARP improving over
     both baselines, by more at higher density.
     """
-    from repro.sweep.builtin import table6_refresh_interval_via_sweep
+    result: dict[int, dict[str, float]] = {}
+    for density, per_workload in _by_point(sweep).items():
+        over_refab, over_refpb = [], []
+        for cells in per_workload.values():
+            normalized = _normalized(cells, "refab")
+            over_refab.append((normalized["dsarp"] - 1.0) * 100.0)
+            over_refpb.append((normalized["dsarp"] / normalized["refpb"] - 1.0) * 100.0)
+        result[density] = {
+            "max_refpb": max(over_refpb),
+            "gmean_refpb": average_percent_improvement(over_refpb),
+            "max_refab": max(over_refab),
+            "gmean_refab": average_percent_improvement(over_refab),
+        }
+    return result
 
-    return table6_refresh_interval_via_sweep(
-        runner=_runner(runner),
-        scale=scale or default_scale(),
-        retention_ms=retention_ms,
+
+def table6_spec(scale: ExperimentScale) -> SweepSpec:
+    return _spec(
+        table6_refresh_interval,
+        scale,
+        ("refab", "refpb", "dsarp"),
+        intensive=True,
+        base={"retention_ms": 64.0},
     )
 
 
@@ -460,11 +533,7 @@ def table6_refresh_interval(
 FGR_MECHANISMS: tuple[str, ...] = ("refab", "fgr2x", "fgr4x", "ar", "dsarp")
 
 
-def figure16_fgr_comparison(
-    runner: Optional[ExperimentRunner] = None,
-    scale: Optional[ExperimentScale] = None,
-    mechanisms: Sequence[str] = FGR_MECHANISMS,
-) -> dict[int, dict[str, float]]:
+def figure16_fgr_comparison(sweep: SweepResult) -> dict[int, dict[str, float]]:
     """Figure 16: WS normalized to REFab for FGR 2x/4x, AR and DSARP.
 
     The paper shows DDR4 fine-granularity refresh at 2x/4x degrading
@@ -472,21 +541,20 @@ def figure16_fgr_comparison(
     the refresh rate; adaptive refresh stays within ~1 % of REFab, and
     DSARP outperforms all of them.
     """
-    runner = _runner(runner)
-    scale = scale or default_scale()
-    workloads = _sensitivity_workloads(scale)
     result: dict[int, dict[str, float]] = {}
-    for density in scale.densities:
-        base_config = paper_system(density_gb=density)
-        ratios: dict[str, list[float]] = {m: [] for m in mechanisms}
-        for comparison in runner.compare_many(workloads, base_config, mechanisms):
-            normalized = comparison.normalized_to("refab")
-            for mechanism in mechanisms:
-                ratios[mechanism].append(normalized[mechanism])
+    for density, per_workload in _by_point(sweep).items():
+        ratios: dict[str, list[float]] = {m: [] for m in sweep.spec.mechanisms}
+        for cells in per_workload.values():
+            for mechanism, value in _normalized(cells, "refab").items():
+                ratios[mechanism].append(value)
         result[density] = {
             mechanism: geometric_mean(values) for mechanism, values in ratios.items()
         }
     return result
+
+
+def figure16_spec(scale: ExperimentScale) -> SweepSpec:
+    return _spec(figure16_fgr_comparison, scale, FGR_MECHANISMS, intensive=True)
 
 
 # ---------------------------------------------------------------------------
@@ -505,27 +573,27 @@ def darp_component_breakdown(
     Returns ``{density: {"out_of_order_only": pct, "darp": pct}}`` as % WS
     improvement over REFab.
     """
-    runner = _runner(runner)
+    runner = runner if runner is not None else get_default_runner()
     scale = scale or default_scale()
-    workloads = _sweep_workloads(scale)
-    result: dict[int, dict[str, float]] = {}
+    workloads = make_workload_sweep(workloads_per_category=scale.workloads_per_category)
+    pairs = []
     for density in scale.densities:
         base_config = paper_system(density_gb=density)
-        ooo_only = base_config.with_mechanism(
-            "darp", enable_write_refresh_parallelization=False
+        configs = (
+            base_config.with_mechanism("refab"),
+            base_config.with_mechanism("darp"),
+            base_config.with_mechanism(
+                "darp", enable_write_refresh_parallelization=False
+            ),
         )
-        refab_config = base_config.with_mechanism("refab")
-        darp_config = base_config.with_mechanism("darp")
+        pairs += [(workload, config) for workload in workloads for config in configs]
+    # One batch for every density; results come back in plan order.
+    results = iter(runner.run_many(pairs))
+    result: dict[int, dict[str, float]] = {}
+    for density in scale.densities:
         ooo_gains, darp_gains = [], []
-        results = runner.run_many(
-            [
-                (workload, config)
-                for workload in workloads
-                for config in (refab_config, darp_config, ooo_only)
-            ]
-        )
-        for offset in range(0, len(results), 3):
-            refab, darp, ooo = results[offset : offset + 3]
+        for _ in workloads:
+            refab, darp, ooo = next(results), next(results), next(results)
             base_ws = refab.weighted_speedup
             ooo_gains.append((ooo.weighted_speedup / base_ws - 1.0) * 100.0)
             darp_gains.append((darp.weighted_speedup / base_ws - 1.0) * 100.0)
@@ -536,28 +604,28 @@ def darp_component_breakdown(
     return result
 
 
-def dsarp_additivity(
-    runner: Optional[ExperimentRunner] = None,
-    scale: Optional[ExperimentScale] = None,
-    density_gb: int = 32,
-) -> dict[str, float]:
+def dsarp_additivity(sweep: SweepResult) -> dict[str, float]:
     """Ablation: DARP, SARPpb and their combination DSARP over REFab (one density).
 
     The paper observes additive benefit (Section 6.1): DSARP performs at
     least as well as the better of its two components, with the gap
     widening at high density.
     """
-    runner = _runner(runner)
-    scale = scale or default_scale()
-    workloads = _sweep_workloads(scale)
-    base_config = paper_system(density_gb=density_gb)
+    (per_workload,) = _by_point(sweep).values()
     gains: dict[str, list[float]] = {"darp": [], "sarppb": [], "dsarp": []}
-    for comparison in runner.compare_many(
-        workloads, base_config, ("refab", "darp", "sarppb", "dsarp")
-    ):
-        normalized = comparison.normalized_to("refab")
-        for mechanism in gains:
-            gains[mechanism].append((normalized[mechanism] - 1.0) * 100.0)
+    for cells in per_workload.values():
+        normalized = _normalized(cells, "refab")
+        for mechanism, values in gains.items():
+            values.append((normalized[mechanism] - 1.0) * 100.0)
     return {
         mechanism: average_percent_improvement(values) for mechanism, values in gains.items()
     }
+
+
+def dsarp_additivity_spec(scale: ExperimentScale) -> SweepSpec:
+    return _spec(
+        dsarp_additivity,
+        scale,
+        ("refab", "darp", "sarppb", "dsarp"),
+        axis=Axis("density_gb", (32,)),
+    )

@@ -3,9 +3,13 @@
 Each record ties one of the paper's results (Tables 2-6, Figures 5-16 and
 the Section 6.1.2 ablations) to everything that is done with it:
 
-* the experiment ``function`` in :mod:`repro.sim.experiments`, whose
-  docstring's first line describes the experiment on every surface and
-  whose body cites the paper's numbers;
+* its ``spec``, mapping an :class:`~repro.sim.experiments.ExperimentScale`
+  to the :class:`~repro.sweep.spec.SweepSpec` of its grid, and its
+  ``function``, the aggregate in :mod:`repro.sim.experiments` that reduces
+  the sweep's cells to the payload.  Figure 5 (closed-form) and the DARP
+  component breakdown have no spec; their ``function`` computes the
+  payload itself.  The function's docstring's first line describes the
+  experiment on every surface, and its body cites the paper's numbers;
 * ``tabulate``, reducing the payload to :class:`~repro.analysis.model.Table`
   blocks (the text artifact, the report's markdown and LaTeX);
 * ``chart``, extracting the report's plot; ``None`` keeps the experiment
@@ -13,9 +17,11 @@ the Section 6.1.2 ablations) to everything that is done with it:
 * the ``bench`` name it is registered under in ``repro bench``, with its
   gated fidelity ``metrics`` and its paper-trend ``checks``.
 
-``repro list/run/profile``, :func:`repro.report.paper.generate_paper_report`
-and the benchmark suite (:mod:`repro.bench.suite`) all iterate
-:data:`EXPERIMENTS`, so adding an experiment means adding one record.
+``repro list/run/profile/sweep``,
+:func:`repro.report.paper.generate_paper_report` and the benchmark suite
+(:mod:`repro.bench.suite`) all iterate :data:`EXPERIMENTS`, so adding an
+experiment means adding one record.  :func:`builtin_specs` collects the
+records' specs under their names for ``repro sweep <name>``.
 
 The ``checks`` assert the paper's trends on a payload.  They hold at the
 full measured window only; the benchmark suite skips them for simulating
@@ -34,17 +40,20 @@ from repro.metrics.speedup import geometric_mean
 from repro.sim import experiments
 from repro.sim.experiments import ExperimentScale
 from repro.sim.runner import ExperimentRunner
+from repro.sweep.compile import run_sweep
+from repro.sweep.spec import SweepSpec
 
 
 @dataclass(frozen=True)
 class Experiment:
-    """One paper result and how every surface renders and checks it."""
+    """One paper result and how every surface runs, renders and checks it."""
 
     name: str
     title: str
     function: Callable
     tabulate: Callable[[object], Union[Table, list[Table]]]
     bench: str
+    spec: Optional[Callable[[ExperimentScale], SweepSpec]] = None
     chart: Optional[Callable[[object], Chart]] = None
     metrics: Optional[Callable[[object], dict]] = None
     checks: Optional[Callable[[object], None]] = None
@@ -57,11 +66,16 @@ class Experiment:
 
     @property
     def simulates(self) -> bool:
-        """Whether the function takes a runner (Figure 5 is closed-form)."""
-        return "runner" in inspect.signature(self.function).parameters
+        """Whether the experiment runs simulations (Figure 5 is closed-form)."""
+        return (
+            self.spec is not None
+            or "runner" in inspect.signature(self.function).parameters
+        )
 
     def run(self, runner: ExperimentRunner, scale: ExperimentScale) -> object:
         """Compute the experiment's payload."""
+        if self.spec is not None:
+            return self.function(run_sweep(self.spec(scale), runner))
         if not self.simulates:
             return self.function()
         return self.function(runner=runner, scale=scale)
@@ -343,6 +357,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             name="figure6",
             title="Figure 6: performance loss due to REFab",
             function=experiments.figure6_refab_performance_loss,
+            spec=experiments.figure6_spec,
             tabulate=figures.tabulate_figure6,
             chart=figures.chart_figure6,
             bench="figure06_refab_loss",
@@ -353,6 +368,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             name="figure7",
             title="Figure 7: performance loss due to REFab and REFpb",
             function=experiments.figure7_refab_vs_refpb_loss,
+            spec=experiments.figure7_spec,
             tabulate=figures.tabulate_figure7,
             chart=figures.chart_figure7,
             bench="figure07_refab_vs_refpb",
@@ -363,6 +379,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             name="figure12",
             title="Figure 12: per-workload WS normalized to REFab",
             function=experiments.figure12_workload_sweep,
+            spec=experiments.figure12_spec,
             tabulate=figures.tabulate_figure12,
             chart=figures.chart_figure12,
             bench="figure12_workload_sweep",
@@ -373,6 +390,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             name="figure13",
             title="Figure 13: average WS improvement over REFab",
             function=experiments.figure13_all_mechanisms,
+            spec=experiments.figure13_spec,
             tabulate=figures.tabulate_figure13,
             chart=figures.chart_figure13,
             bench="figure13_all_mechanisms",
@@ -383,6 +401,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             name="figure14",
             title="Figure 14: energy per access",
             function=experiments.figure14_energy_per_access,
+            spec=experiments.figure14_spec,
             tabulate=figures.tabulate_figure14,
             chart=figures.chart_figure14,
             bench="figure14_energy",
@@ -393,6 +412,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             name="figure15",
             title="Figure 15: DSARP improvement by memory intensity",
             function=experiments.figure15_memory_intensity,
+            spec=experiments.figure15_spec,
             tabulate=figures.tabulate_figure15,
             chart=figures.chart_figure15,
             bench="figure15_memory_intensity",
@@ -403,6 +423,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             name="figure16",
             title="Figure 16: WS normalized to REFab (FGR / AR / DSARP)",
             function=experiments.figure16_fgr_comparison,
+            spec=experiments.figure16_spec,
             tabulate=figures.tabulate_figure16,
             chart=figures.chart_figure16,
             bench="figure16_fgr",
@@ -413,6 +434,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             name="table2",
             title="Table 2: WS improvement of DARP/SARPpb/DSARP",
             function=experiments.table2_improvement_summary,
+            spec=experiments.figure12_spec,
             tabulate=tables.tabulate_table2,
             chart=tables.chart_table2,
             bench="table2_summary",
@@ -423,6 +445,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             name="table3",
             title="Table 3: DSARP vs REFab across core counts",
             function=experiments.table3_core_count,
+            spec=experiments.table3_spec,
             tabulate=tables.tabulate_table3,
             chart=tables.chart_table3,
             bench="table3_core_count",
@@ -433,6 +456,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             name="table4",
             title="Table 4: SARPpb over REFpb vs tFAW",
             function=experiments.table4_tfaw_sensitivity,
+            spec=experiments.table4_spec,
             tabulate=tables.tabulate_table4,
             chart=tables.chart_table4,
             bench="table4_tfaw",
@@ -443,6 +467,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             name="table5",
             title="Table 5: effect of subarrays per bank",
             function=experiments.table5_subarray_sensitivity,
+            spec=experiments.table5_spec,
             tabulate=tables.tabulate_table5,
             chart=tables.chart_table5,
             bench="table5_subarrays",
@@ -453,6 +478,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             name="table6",
             title="Table 6: DSARP improvement with 64 ms retention",
             function=experiments.table6_refresh_interval,
+            spec=experiments.table6_spec,
             tabulate=tables.tabulate_table6,
             chart=tables.chart_table6,
             bench="table6_refresh_interval",
@@ -472,6 +498,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             name="dsarp_additivity",
             title="DSARP additivity ablation (32 Gb)",
             function=experiments.dsarp_additivity,
+            spec=experiments.dsarp_additivity_spec,
             tabulate=tables.tabulate_dsarp_additivity,
             bench="ablation_dsarp_additivity",
             metrics=_dsarp_additivity_metrics,
@@ -479,3 +506,16 @@ EXPERIMENTS: dict[str, Experiment] = {
         ),
     )
 }
+
+
+def builtin_specs(scale: ExperimentScale) -> dict[str, SweepSpec]:
+    """The records' sweep specs at ``scale``, keyed by spec name.
+
+    Table 2 shares Figure 12's spec, so it appears once.
+    """
+    specs: dict[str, SweepSpec] = {}
+    for experiment in EXPERIMENTS.values():
+        if experiment.spec is not None:
+            spec = experiment.spec(scale)
+            specs.setdefault(spec.name, spec)
+    return specs

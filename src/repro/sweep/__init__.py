@@ -16,12 +16,17 @@ into data instead of code:
   energy per access), per-axis sensitivity tables and best-config-per-
   workload summaries,
 * :mod:`repro.sweep.artifact` — self-contained run directories
-  (``spec.json`` / ``results.jsonl`` / ``summary.md``),
-* :mod:`repro.sweep.builtin` — the paper's Tables 3-6 expressed as
-  built-in specs.
+  (``spec.json`` / ``results.jsonl`` / ``summary.md``).
+
+Every simulated paper result is a spec too: :mod:`repro.sim.experiments`
+defines one spec factory and one aggregate per table and figure, and
+:data:`repro.sim.registry.EXPERIMENTS` runs each as
+``aggregate(run_sweep(spec(scale), runner))``.  This package knows
+nothing of them; the dependency points from the experiments to here.
 
 CLI: ``python -m repro sweep <spec.json|builtin-name> --workers N
---store cache.jsonl --out dir/``.
+--store cache.jsonl --out dir/``, where a built-in name is any
+experiment's spec name (``repro list`` shows them).
 """
 
 from repro.sweep.analyze import (
@@ -33,7 +38,6 @@ from repro.sweep.analyze import (
     summarize,
 )
 from repro.sweep.artifact import load_run_dir, write_run_dir
-from repro.sweep.builtin import BUILTIN_SPECS, builtin_spec
 from repro.sweep.compile import (
     SweepCell,
     SweepResult,
@@ -78,6 +82,4 @@ __all__ = [
     "summarize",
     "load_run_dir",
     "write_run_dir",
-    "BUILTIN_SPECS",
-    "builtin_spec",
 ]

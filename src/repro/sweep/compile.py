@@ -15,14 +15,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:  # runner imports stay lazy to avoid an import cycle
-    from repro.sim.runner import ExperimentRunner
+from typing import Optional
 
 from repro.config.presets import paper_system
 from repro.config.system import SystemConfig
-from repro.sweep.spec import CONTROLLER_AXES, PRESET_AXES, SweepSpec, point_key
+from repro.sim.runner import ExperimentRunner, get_default_runner
+from repro.sweep.spec import (
+    CONTROLLER_AXES,
+    PRESET_AXES,
+    SpecError,
+    SweepSpec,
+    describe_point,
+    point_key,
+)
 from repro.workloads.mixes import (
     Workload,
     make_workload_sweep,
@@ -117,6 +122,10 @@ class SweepCell:
     harmonic_speedup: float
     maximum_slowdown: float
     energy_per_access_nj: float
+    #: Raw energy counts behind an access-weighted mean (Figure 14): the
+    #: total energy (nJ) and the number of accesses it served.
+    energy_nj: float = 0.0
+    accesses: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -128,6 +137,8 @@ class SweepCell:
             "harmonic_speedup": self.harmonic_speedup,
             "maximum_slowdown": self.maximum_slowdown,
             "energy_per_access_nj": self.energy_per_access_nj,
+            "energy_nj": self.energy_nj,
+            "accesses": self.accesses,
         }
 
     @classmethod
@@ -141,6 +152,8 @@ class SweepCell:
             harmonic_speedup=data["harmonic_speedup"],
             maximum_slowdown=data["maximum_slowdown"],
             energy_per_access_nj=data["energy_per_access_nj"],
+            energy_nj=data["energy_nj"],
+            accesses=data["accesses"],
         )
 
 
@@ -187,13 +200,22 @@ def plan_sweep(
     Returns the expanded points, the ordered (workload, config) pairs to
     run, and per-pair provenance ``(point_index, workload, mechanism)``
     used to assemble :class:`SweepCell` records after execution.
+
+    Every point's configuration and workloads are built here, so a spec
+    that parses but names an impossible point (a non-positive density,
+    ...) raises :class:`~repro.sweep.spec.SpecError` before anything runs.
     """
     points = expand_points(spec)
     pairs: list[tuple[Workload, SystemConfig]] = []
     provenance: list[tuple[int, Workload, str]] = []
     for point_index, point in enumerate(points):
-        config = build_config(spec, point)
-        workloads = build_workloads(spec, point)
+        try:
+            config = build_config(spec, point)
+            workloads = build_workloads(spec, point)
+        except ValueError as error:
+            raise SpecError(
+                f"design point {describe_point(point)} cannot be built: {error}"
+            ) from None
         for workload in workloads:
             for mechanism in spec.mechanisms:
                 pairs.append((workload, config.with_mechanism(mechanism)))
@@ -203,7 +225,7 @@ def plan_sweep(
 
 def run_sweep(
     spec: SweepSpec,
-    runner: Optional["ExperimentRunner"] = None,
+    runner: Optional[ExperimentRunner] = None,
 ) -> SweepResult:
     """Execute a sweep spec end to end and collect its cells.
 
@@ -213,8 +235,6 @@ def run_sweep(
     simulation of the sweep fans out concurrently, and with a persistent
     store a repeated sweep performs zero new simulations.
     """
-    from repro.sim.runner import ExperimentRunner, get_default_runner
-
     runner = runner if runner is not None else get_default_runner()
     points, pairs, provenance = plan_sweep(spec)
     results = runner.run_many(pairs)
@@ -228,6 +248,8 @@ def run_sweep(
             harmonic_speedup=result.harmonic_speedup,
             maximum_slowdown=result.maximum_slowdown,
             energy_per_access_nj=result.energy_per_access_nj,
+            energy_nj=result.simulation.energy["total_nj"],
+            accesses=result.simulation.energy["accesses"],
         )
         for (point_index, workload, mechanism), result in zip(provenance, results)
     ]

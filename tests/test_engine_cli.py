@@ -36,6 +36,25 @@ class TestListCommand:
             assert summary.strip().rstrip(".") in out
 
 
+    def test_closed_pipe_exits_without_traceback(self):
+        # ``repro list | head -1``, made deterministic: the reader is gone
+        # before the child writes a byte.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "repro", "list"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert child.returncode == 1
+        assert "Traceback" not in child.stderr.decode()
+
+
 class TestConsoleScript:
     """The ``repro`` console script must stay wired to the CLI entry point."""
 

@@ -22,8 +22,8 @@ import pathlib
 import pytest
 
 from repro.config.obs_config import ObsConfig
-from repro.sim import experiments
 from repro.sim.experiments import ExperimentScale
+from repro.sim.registry import EXPERIMENTS
 from repro.sim.runner import ExperimentRunner
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -71,13 +71,13 @@ def check_golden(name: str, payload: object, update: bool) -> None:
 
 def test_table2_summary_pinned(runner, update_golden):
     """Table 2: DARP/SARPpb/DSARP improvements over REFpb and REFab."""
-    result = experiments.table2_improvement_summary(runner=runner, scale=SCALE)
+    result = EXPERIMENTS["table2"].run(runner, SCALE)
     check_golden("table2_summary", result, update_golden)
 
 
 def test_figure13_32gb_row_pinned(runner, update_golden):
     """Figure 13, 32 Gb row: average % WS improvement over REFab."""
-    result = experiments.figure13_all_mechanisms(runner=runner, scale=SCALE)
+    result = EXPERIMENTS["figure13"].run(runner, SCALE)
     check_golden("figure13_32gb_row", result[32], update_golden)
 
 
@@ -95,5 +95,5 @@ def test_table2_summary_with_observability_identical(update_golden):
     assert golden_path.exists(), "generate the plain fixture first"
     obs = ObsConfig(trace=True, epoch_interval=293)
     runner = ExperimentRunner(cycles=CYCLES, warmup=WARMUP, obs=obs)
-    result = experiments.table2_improvement_summary(runner=runner, scale=SCALE)
+    result = EXPERIMENTS["table2"].run(runner, SCALE)
     assert canonical(result) == json.loads(golden_path.read_text())

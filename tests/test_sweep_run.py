@@ -254,6 +254,26 @@ class TestSweepCli:
         assert code == 2
         assert "neither a spec file nor a built-in sweep" in err
 
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+    def test_sweep_unbuildable_spec_fails_cleanly(self, tmp_path, dry_run):
+        # The spec parses, but no DRAM configuration has a non-positive
+        # density: both paths must refuse it before anything simulates.
+        spec = SweepSpec(
+            name="bad_density",
+            axes=(Axis("density_gb", (-8, 0)),),
+            mechanisms=("refab",),
+            baseline="refab",
+            workloads=WorkloadSpec(kind="intensive", count=1, num_cores=2),
+        )
+        argv = ["sweep", str(spec.save(tmp_path / "spec.json"))]
+        argv += ["--out", str(tmp_path / "out")]
+        code, out, err = self.run_cli(argv + (["--dry-run"] if dry_run else []))
+        assert code == 2
+        assert err.startswith("error: design point density_gb=-8")
+        assert "Traceback" not in err
+        assert "simulated" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_accepts_a_run_directory(self, tmp_path):
         # Run directories advertise themselves as re-runnable: pointing
         # the CLI at one must pick up its spec.json.
