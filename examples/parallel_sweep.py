@@ -6,10 +6,10 @@ Demonstrates the experiment engine underneath the
 * a :class:`~repro.engine.executor.ParallelExecutor` runs the planned
   simulation jobs on several cores (results are identical to a serial
   run, only faster),
-* a :class:`~repro.engine.store.JsonlStore` persists every result keyed
-  by job fingerprint, so re-running this script — or any other script,
-  benchmark or ``python -m repro`` invocation pointed at the same store —
-  performs zero new simulations.
+* a :class:`~repro.engine.sqlite_store.SqliteStore` persists every result
+  keyed by job fingerprint, so re-running this script — or any other
+  script, benchmark or ``python -m repro`` invocation pointed at the same
+  store — performs zero new simulations.
 
 Run with:  python examples/parallel_sweep.py
 Then run it again to see the warm-store path.
@@ -17,17 +17,17 @@ Then run it again to see the warm-store path.
 
 import os
 
-from repro import JsonlStore, ParallelExecutor, make_workload_category
+from repro import ParallelExecutor, SqliteStore, make_workload_category
 from repro.config.presets import paper_system
 from repro.engine.progress import ProgressPrinter
 from repro.sim.runner import ExperimentRunner
 
 MECHANISMS = ("refab", "refpb", "darp", "sarppb", "dsarp", "none")
-STORE_PATH = os.path.join("results", "example_cache.jsonl")
+STORE_PATH = os.path.join("results", "example_cache.sqlite")
 
 
 def main() -> None:
-    store = JsonlStore(STORE_PATH)
+    store = SqliteStore(STORE_PATH)
     print(f"store: {STORE_PATH} ({len(store)} cached results)")
 
     runner = ExperimentRunner(

@@ -6,7 +6,7 @@ store-backed :class:`~repro.sim.runner.ExperimentRunner`, then writes the
 four artifact renderings — canonical JSON, a markdown pipe table, a
 LaTeX ``tabular`` block and an SVG bar chart — plus the report index.
 
-The first invocation simulates and fills ``results/example_store.jsonl``;
+The first invocation simulates and fills ``results/example_store.sqlite``;
 rerunning is instant and performs **zero** simulations (watch the
 ``simulated`` counter), yet produces byte-identical table artifacts —
 the property the report subsystem's golden crosscheck builds on.
@@ -15,19 +15,19 @@ Run with:  python examples/report_table2.py
 
 The CLI equivalent (all Tables 2-6 and Figures 5-16):
 
-    python -m repro report paper --store results/example_store.jsonl \
+    python -m repro report paper --store results/example_store.sqlite \
         --out results/report/paper
 """
 
 from pathlib import Path
 
-from repro.engine.store import JsonlStore
+from repro.engine.sqlite_store import SqliteStore
 from repro.report import generate_paper_report
 from repro.sim.experiments import ExperimentScale
 from repro.sim.runner import ExperimentRunner
 
 OUT_DIR = Path("results/report/table2_example")
-STORE = Path("results/example_store.jsonl")
+STORE = Path("results/example_store.sqlite")
 
 
 def main() -> None:
@@ -36,8 +36,7 @@ def main() -> None:
     scale = ExperimentScale(
         workloads_per_category=1, sensitivity_workloads=1, densities=(8, 32)
     )
-    STORE.parent.mkdir(parents=True, exist_ok=True)
-    runner = ExperimentRunner(cycles=1200, warmup=200, store=JsonlStore(STORE))
+    runner = ExperimentRunner(cycles=1200, warmup=200, store=SqliteStore(STORE))
 
     report = generate_paper_report(
         OUT_DIR, runner=runner, scale=scale, names=["table2"]

@@ -43,10 +43,10 @@ from repro.config import (
 )
 from repro.engine import (
     InMemoryStore,
-    JsonlStore,
     ParallelExecutor,
     SerialExecutor,
     SimulationJob,
+    SqliteStore,
 )
 from repro.sim.results import SimulationResult, WorkloadResult
 from repro.sim.runner import ExperimentRunner, run_mechanism_comparison, run_workload
@@ -67,7 +67,7 @@ __all__ = [
     "SerialExecutor",
     "ParallelExecutor",
     "InMemoryStore",
-    "JsonlStore",
+    "SqliteStore",
     "SystemConfig",
     "DRAMConfig",
     "DRAMOrganization",

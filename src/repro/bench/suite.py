@@ -32,7 +32,7 @@ from repro.bench.spec import BenchSpec, register
 from repro.config.presets import paper_system
 from repro.engine.executor import ParallelExecutor, SerialExecutor
 from repro.engine.jobs import SimulationJob
-from repro.engine.store import JsonlStore
+from repro.engine.sqlite_store import SqliteStore
 from repro.sim.experiments import ExperimentScale
 from repro.sim.registry import EXPERIMENTS, Experiment
 from repro.sim.runner import DEFAULT_CYCLES, DEFAULT_WARMUP, ExperimentRunner
@@ -571,14 +571,15 @@ def _sweep_cache(context: BenchContext):
     """Sweep caching: cold versus warm-store wall time for a design sweep."""
 
     def sweep(store_path):
-        runner = ExperimentRunner(store=JsonlStore(store_path))
-        start = perf_counter()
-        result = run_sweep(SWEEP_CACHE_SPEC, runner=runner)
-        elapsed = perf_counter() - start
+        with SqliteStore(store_path) as store:
+            runner = ExperimentRunner(store=store)
+            start = perf_counter()
+            result = run_sweep(SWEEP_CACHE_SPEC, runner=runner)
+            elapsed = perf_counter() - start
         return [cell.to_dict() for cell in result.cells], runner.summary(), elapsed
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as scratch:
-        store_path = Path(scratch) / "sweep_cache.jsonl"
+        store_path = Path(scratch) / "sweep_cache.sqlite"
         cold_cells, cold_summary, cold_s = sweep(store_path)
         warm_cells, warm_summary, warm_s = sweep(store_path)
     return {

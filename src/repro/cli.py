@@ -6,26 +6,28 @@ executes a declarative design-space sweep, and ``python -m repro bench``
 drives the performance-benchmark suite and its regression gate::
 
     python -m repro list
-    python -m repro run figure12 --workers 4 --store results/cache.jsonl
+    python -m repro run figure12 --workers 4 --store results/cache.sqlite
     python -m repro run table3 --cycles 8000 --output table3.json
     python -m repro sweep examples/sweep_spec.json --workers 4 \
-        --store results/cache.jsonl --out results/sweeps/example
+        --store results/cache.sqlite --out results/sweeps/example
     python -m repro sweep examples/sweep_spec.json --serve 0.0.0.0:7351 \
         --min-workers 2 --store results/cache.sqlite
     python -m repro worker --connect coordinator-host:7351 --workers 8
-    python -m repro store compact results/cache.jsonl
+    python -m repro store compact results/cache.sqlite
     python -m repro bench run --tier quick --workers 4 --json bench.json
     python -m repro bench compare benchmarks/baseline.json bench.json \
         --max-regression 25%
-    python -m repro report paper --store results/cache.jsonl --out paper/
+    python -m repro report paper --store results/cache.sqlite --out paper/
     python -m repro report trend --history benchmarks/history
     python -m repro report run traces/ --profile profile.json --out report/
 
 ``--workers N`` fans simulations out over N worker processes (results are
 identical to a serial run).  ``--store PATH`` persists every simulation
-result to an append-only JSONL cache keyed by job fingerprint; a second
-invocation against the same store performs zero new simulations, which the
-run summary reports explicitly.
+result to a SQLite store keyed by job fingerprint; a second invocation
+against the same store performs zero new simulations, which the run summary
+reports explicitly.  A file that is not such a store (a JSON-lines store
+from before SQLite was the only format, say) is refused with an
+``error:`` line and exit code 2.
 
 The CLI is also installed as the ``repro`` console script (see
 ``pyproject.toml``), so ``repro list`` works without ``python -m``.
@@ -45,7 +47,7 @@ from repro.config.controller_config import PAGE_POLICIES, PAGE_POLICY_DESCRIPTIO
 from repro.controller.policies import scheduler_descriptions, scheduler_names
 from repro.engine.executor import JobExecutor, ParallelExecutor, SerialExecutor
 from repro.engine.progress import ProgressPrinter
-from repro.engine.store import STORE_BACKENDS, open_store
+from repro.engine.sqlite_store import SqliteStore, copy_store
 from repro.sim.experiments import ExperimentScale
 from repro.sim.registry import EXPERIMENTS, builtin_specs
 from repro.sim.runner import ExperimentRunner
@@ -170,16 +172,9 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         "--store",
         metavar="PATH",
         default=None,
-        help="result store shared across runs (created if missing)",
-    )
-    parser.add_argument(
-        "--store-backend",
-        choices=STORE_BACKENDS,
-        default="auto",
         help=(
-            "result store format: 'jsonl' (append-only lines), 'sqlite' "
-            "(WAL mode, concurrent-safe), or 'auto' to infer from the "
-            "--store extension (default: auto)"
+            "SQLite result store shared across runs (created if missing; "
+            "WAL mode, safe under concurrent writers)"
         ),
     )
     parser.add_argument(
@@ -523,52 +518,27 @@ def _build_parser() -> argparse.ArgumentParser:
         "store",
         help="inspect, copy and compact result stores",
         description=(
-            "Maintain the fingerprint-keyed result stores behind --store: "
-            "'stat' summarizes a store, 'copy' migrates results between "
-            "stores/backends, and 'compact' rewrites a JSONL store keeping "
-            "only the latest record per key (or checkpoints and VACUUMs a "
-            "SQLite store)."
+            "Maintain the fingerprint-keyed SQLite result stores behind "
+            "--store: 'stat' summarizes a store, 'copy' merges every "
+            "result of one store into another, and 'compact' checkpoints "
+            "the WAL and VACUUMs a store in place."
         ),
     )
     store_subparsers = store_parser.add_subparsers(dest="store_command", required=True)
     store_stat = store_subparsers.add_parser(
         "stat", help="summarize a result store"
     )
-    store_stat.add_argument("path", help="store file (JSONL or SQLite)")
-    store_stat.add_argument(
-        "--store-backend",
-        choices=STORE_BACKENDS,
-        default="auto",
-        help="store format (default: auto, infer from the extension)",
-    )
+    store_stat.add_argument("path", help="store file")
     store_copy = store_subparsers.add_parser(
         "copy", help="copy every result from one store into another"
     )
     store_copy.add_argument("source", help="store to read")
     store_copy.add_argument("destination", help="store to write (created if missing)")
-    store_copy.add_argument(
-        "--source-backend",
-        choices=STORE_BACKENDS,
-        default="auto",
-        help="source format (default: auto)",
-    )
-    store_copy.add_argument(
-        "--destination-backend",
-        choices=STORE_BACKENDS,
-        default="auto",
-        help="destination format (default: auto)",
-    )
     store_compact = store_subparsers.add_parser(
         "compact",
-        help="drop stale JSONL records / VACUUM a SQLite store in place",
+        help="checkpoint the WAL and VACUUM a store in place",
     )
-    store_compact.add_argument("path", help="store file (JSONL or SQLite)")
-    store_compact.add_argument(
-        "--store-backend",
-        choices=STORE_BACKENDS,
-        default="auto",
-        help="store format (default: auto, infer from the extension)",
-    )
+    store_compact.add_argument("path", help="store file")
 
     trace_parser = subparsers.add_parser(
         "trace",
@@ -746,12 +716,13 @@ def _build_runner(
     if getattr(args, "resume", False) and not args.store:
         stderr.write("error: --resume requires --store (nothing to resume from)\n")
         raise SystemExit(2)
-    store = (
-        open_store(args.store, backend=getattr(args, "store_backend", "auto"))
-        if args.store
-        else None
-    )
-    if store is not None:
+    store = None
+    if args.store:
+        try:
+            store = SqliteStore(args.store)
+        except (OSError, ValueError) as error:
+            stderr.write(f"error: {error}\n")
+            raise SystemExit(2)
         cached = len(store)
         stderr.write(f"store: {store.path} ({cached} cached results)\n")
         if getattr(args, "resume", False):
@@ -1221,51 +1192,44 @@ def _worker_command(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) ->
     )
 
 
-def _describe_store(path: str, store) -> str:
-    backend = type(store).__name__
-    size = sum(
-        os.path.getsize(path + suffix)
-        for suffix in ("", "-wal", "-shm")
-        if os.path.exists(path + suffix)
+def _describe_store(store: SqliteStore) -> str:
+    return (
+        f"{store.path}: {len(store)} result(s), "
+        f"{store.disk_bytes()} bytes on disk"
     )
-    line = f"{path}: {backend}, {len(store)} result(s), {size} bytes on disk"
-    record_count = getattr(store, "record_count", None)
-    if callable(record_count):
-        records = record_count()
-        stale = records - len(store)
-        line += f"; {records} record line(s), {stale} stale"
-    return line
+
+
+def _open_existing_store(path: str) -> SqliteStore:
+    """The store at ``path``; raises ``ValueError`` if it is missing or
+    not a result store (``repro store`` never creates its input)."""
+    if not os.path.exists(path):
+        raise ValueError(f"{path} does not exist")
+    return SqliteStore(path)
 
 
 def _store_command(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
     """``repro store stat|copy|compact``: result-store maintenance."""
-    from repro.engine.sqlite_store import copy_store
-
+    try:
+        if args.store_command == "copy":
+            source = _open_existing_store(args.source)
+            destination = SqliteStore(args.destination)
+        else:
+            store = _open_existing_store(args.path)
+    except (OSError, ValueError) as error:
+        stderr.write(f"error: {error}\n")
+        return 2
     if args.store_command == "copy":
-        if not os.path.exists(args.source):
-            stderr.write(f"error: {args.source} does not exist\n")
-            return 2
-        source = open_store(args.source, backend=args.source_backend)
-        destination = open_store(args.destination, backend=args.destination_backend)
         copied = copy_store(source, destination)
         stdout.write(
             f"copied {copied} result(s) from {args.source} to "
             f"{args.destination}\n"
         )
-        stdout.write(_describe_store(args.destination, destination) + "\n")
+        stdout.write(_describe_store(destination) + "\n")
         return 0
-    if not os.path.exists(args.path):
-        stderr.write(f"error: {args.path} does not exist\n")
-        return 2
-    store = open_store(args.path, backend=args.store_backend)
     if args.store_command == "stat":
-        stdout.write(_describe_store(args.path, store) + "\n")
+        stdout.write(_describe_store(store) + "\n")
         return 0
-    compact = getattr(store, "compact", None)
-    if not callable(compact):
-        stderr.write(f"error: {type(store).__name__} cannot be compacted\n")
-        return 2
-    outcome = compact()
+    outcome = store.compact()
     stdout.write(
         f"compacted {args.path}: {outcome['records_before']} -> "
         f"{outcome['records_after']} record(s), {outcome['bytes_before']} -> "

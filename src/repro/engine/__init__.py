@@ -15,11 +15,12 @@ executed and *where* their results live:
   bounded retry with exponential backoff, and worker-death recovery (an
   in-flight shard is re-queued and a replacement worker spawned, so the
   run completes with a warning instead of crashing),
-* :mod:`repro.engine.store` — :class:`ResultStore` implementations
-  (:class:`InMemoryStore`, :class:`JsonlStore`, and the WAL-mode
-  concurrent-safe :class:`SqliteStore`) keyed by job fingerprint, so
-  results persist across processes, benchmarks and CI runs and a killed
-  run resumes from the store with zero re-simulation,
+* :mod:`repro.engine.store` and :mod:`repro.engine.sqlite_store` — the
+  :class:`ResultStore` interface, the in-process :class:`InMemoryStore`
+  and the one persistent store, the WAL-mode concurrent-safe
+  :class:`SqliteStore`, all keyed by job fingerprint, so results persist
+  across processes, benchmarks and CI runs and a killed run resumes from
+  the store with zero re-simulation,
 * :mod:`repro.engine.remote` — multi-host fan-out: a TCP shard-dispatch
   coordinator (``--serve HOST:PORT``) and the ``repro worker`` runtime,
   speaking a length-prefixed JSON protocol, so sweep throughput scales
@@ -28,7 +29,7 @@ executed and *where* their results live:
 
 The :class:`~repro.sim.runner.ExperimentRunner` plans job batches and
 submits them through an executor; the CLI (``python -m repro``) wires a
-:class:`JsonlStore` underneath so figure-level sweeps warm a shared
+:class:`SqliteStore` underneath so figure-level sweeps warm a shared
 on-disk cache.
 """
 
@@ -61,13 +62,7 @@ from repro.engine.remote import (
     run_worker,
 )
 from repro.engine.sqlite_store import SqliteStore, copy_store
-from repro.engine.store import (
-    STORE_BACKENDS,
-    InMemoryStore,
-    JsonlStore,
-    ResultStore,
-    open_store,
-)
+from repro.engine.store import InMemoryStore, ResultStore
 
 __all__ = [
     "SimulationJob",
@@ -93,9 +88,6 @@ __all__ = [
     "ProgressPrinter",
     "ResultStore",
     "InMemoryStore",
-    "JsonlStore",
     "SqliteStore",
     "copy_store",
-    "open_store",
-    "STORE_BACKENDS",
 ]

@@ -1,23 +1,24 @@
 """SQLite-backed result store: WAL mode, concurrent-safe, resumable.
 
 The :class:`SqliteStore` keeps every simulation result in one SQLite
-database keyed by the job's fingerprint digest — the same keys the
-:class:`~repro.engine.store.JsonlStore` uses, so the two backends are
-interchangeable and results migrate between them losslessly
-(:func:`copy_store`).
+database keyed by the job's fingerprint digest.  It is the repo's one
+persistent store: every ``--store PATH`` and every ``repro store``
+command opens it.
 
-Why SQLite beside JSONL:
+Why SQLite:
 
 * **Concurrent writers.**  WAL journaling plus a busy timeout lets
   several runs (or several hosts on a shared filesystem that supports
-  POSIX locks) warm the same store without corrupting it; JSONL is only
-  append-atomic within one process.
+  POSIX locks) warm the same store without corrupting it.
 * **Incremental commits.**  Every ``put`` is its own transaction, so a
   run killed at any instant leaves a consistent database with everything
   committed so far — the foundation of ``repro run --resume``.
 * **Cheap point lookups.**  A million-config design-space sweep resumes
-  by primary-key probes instead of re-parsing a multi-gigabyte line file
-  into memory.
+  by primary-key probes instead of loading every result into memory.
+
+A file that is not such a database — including a JSON-lines store
+written before SQLite became the only format — is refused with a
+:class:`ValueError` naming the path; its results are recomputable.
 
 Results are stored as canonical JSON (the
 :meth:`~repro.sim.results.SimulationResult.to_dict` payload), so the
@@ -41,26 +42,45 @@ if TYPE_CHECKING:  # avoid repro.sim <-> repro.engine import cycle
 BUSY_TIMEOUT_S = 30.0
 
 
+def _connect(path: Path) -> sqlite3.Connection:
+    """Open ``path`` as a result database, creating the table if missing."""
+    conn = sqlite3.connect(str(path), timeout=BUSY_TIMEOUT_S, isolation_level=None)
+    try:
+        # WAL lets readers proceed under a writer and makes each put an
+        # atomic, crash-consistent transaction; NORMAL sync is durable
+        # against process death (the resume scenario), if not power loss.
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA synchronous=NORMAL")
+        conn.execute(
+            "CREATE TABLE IF NOT EXISTS results ("
+            "  key TEXT PRIMARY KEY,"
+            "  result TEXT NOT NULL"
+            ")"
+        )
+        # A foreign database may already hold a differently shaped
+        # ``results`` table; refuse it now rather than on first use.
+        conn.execute("SELECT key, result FROM results LIMIT 0")
+    except sqlite3.DatabaseError:
+        conn.close()
+        raise
+    return conn
+
+
 class SqliteStore(ResultStore):
     """A WAL-mode SQLite result store keyed by fingerprint digest."""
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._conn = sqlite3.connect(
-            str(self.path), timeout=BUSY_TIMEOUT_S, isolation_level=None
-        )
-        # WAL lets readers proceed under a writer and makes each put an
-        # atomic, crash-consistent transaction; NORMAL sync is durable
-        # against process death (the resume scenario), if not power loss.
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS results ("
-            "  key TEXT PRIMARY KEY,"
-            "  result TEXT NOT NULL"
-            ")"
-        )
+        try:
+            self._conn = _connect(self.path)
+        except sqlite3.DatabaseError as error:
+            # The file's content decides, not its name: a text file (an old
+            # JSON-lines store, say) fails with "file is not a database" and
+            # is left untouched.
+            raise ValueError(
+                f"cannot open result store {self.path}: {error}"
+            ) from None
 
     def get(self, key: str) -> Optional["SimulationResult"]:
         from repro.sim.results import SimulationResult
@@ -92,27 +112,29 @@ class SqliteStore(ResultStore):
         for (key,) in self._conn.execute("SELECT key FROM results ORDER BY key"):
             yield key
 
+    def disk_bytes(self) -> int:
+        """Bytes of the database file plus its ``-wal`` sidecar.
+
+        The ``-shm`` file is fixed-size shared memory, not data, so it is
+        not counted.
+        """
+        total = 0
+        for suffix in ("", "-wal"):
+            sidecar = Path(str(self.path) + suffix)
+            if sidecar.exists():
+                total += sidecar.stat().st_size
+        return total
+
     def compact(self) -> dict:
         """Checkpoint the WAL and VACUUM the database.
 
         A long sweep leaves a WAL file rivaling the database itself and
         free pages from upserts; compaction folds the WAL back in and
-        rewrites the file densely.  Returns before/after record and byte
-        counts (bytes include the ``-wal`` sidecar).
+        rewrites the file densely.  Returns before/after record counts and
+        :meth:`disk_bytes`.
         """
-
-        def disk_bytes() -> int:
-            # The -shm file is fixed-size shared memory, not data; count
-            # only the database and its WAL.
-            total = 0
-            for suffix in ("", "-wal"):
-                sidecar = Path(str(self.path) + suffix)
-                if sidecar.exists():
-                    total += sidecar.stat().st_size
-            return total
-
         records = len(self)
-        bytes_before = disk_bytes()
+        bytes_before = self.disk_bytes()
         # VACUUM first (it writes through the WAL), then truncate the WAL
         # so the rewrite actually lands in the main database file.
         self._conn.execute("VACUUM")
@@ -121,7 +143,7 @@ class SqliteStore(ResultStore):
             "records_before": records,
             "records_after": records,
             "bytes_before": bytes_before,
-            "bytes_after": disk_bytes(),
+            "bytes_after": self.disk_bytes(),
         }
 
     def close(self) -> None:
@@ -138,17 +160,12 @@ class SqliteStore(ResultStore):
 def copy_store(source: ResultStore, destination: ResultStore) -> int:
     """Copy every keyed result from one store into another.
 
-    Both JSONL and SQLite stores are keyed by the same fingerprint
-    digests, so this migrates a cache between backends without a single
-    re-simulation; returns the number of results copied.
+    Every store is keyed by the same fingerprint digests, so this merges
+    one cache into another without a single re-simulation; returns the
+    number of results copied.
     """
-    keys = getattr(source, "keys", None)
-    if keys is None:
-        raise TypeError(
-            f"{type(source).__name__} does not enumerate keys; cannot copy"
-        )
     copied = 0
-    for key in list(keys()):
+    for key in list(source.keys()):
         result = source.get(key)
         if result is not None:
             destination.put(key, result)

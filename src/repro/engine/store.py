@@ -1,30 +1,17 @@
-"""Persistent result stores keyed by job fingerprint.
+"""Result stores keyed by job fingerprint.
 
 A :class:`ResultStore` maps the stable string key of a
 :class:`~repro.engine.jobs.SimulationJob` to its
-:class:`~repro.sim.results.SimulationResult`.  Two implementations are
-provided:
-
-* :class:`InMemoryStore` — a plain dict, useful for tests and for sharing
-  results inside one process,
-* :class:`JsonlStore` — an append-only JSON-lines file.  Every ``put``
-  appends one self-contained record, so concurrent runs warming the same
-  cache cannot corrupt previously written results, and a store can be
-  re-opened by a later process (or CI run) to skip completed simulations.
-
-A third, the WAL-mode :class:`~repro.engine.sqlite_store.SqliteStore`,
-lives in its own module; :func:`open_store` picks a backend by name or by
-file extension (``.sqlite`` / ``.sqlite3`` / ``.db`` open as SQLite,
-everything else as JSONL), which is what the CLI's ``--store-backend``
-flag feeds.
+:class:`~repro.sim.results.SimulationResult`.  This module holds the
+interface and :class:`InMemoryStore`, a plain dict that shares results
+inside one process (and is the tests' fake).  The one persistent store,
+the WAL-mode :class:`~repro.engine.sqlite_store.SqliteStore`, lives in
+its own module: every ``--store PATH`` opens it, whatever the file name.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from abc import ABC, abstractmethod
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional
 
 if TYPE_CHECKING:  # avoid repro.sim <-> repro.engine import cycle
@@ -45,6 +32,10 @@ class ResultStore(ABC):
     @abstractmethod
     def __len__(self) -> int:
         """Number of distinct keys stored."""
+
+    @abstractmethod
+    def keys(self) -> Iterator[str]:
+        """Every stored key."""
 
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None
@@ -67,119 +58,3 @@ class InMemoryStore(ResultStore):
 
     def keys(self) -> Iterator[str]:
         return iter(self._results)
-
-
-#: Backend names ``open_store`` (and the CLI's ``--store-backend``) accept.
-STORE_BACKENDS = ("auto", "jsonl", "sqlite")
-
-#: File extensions the ``auto`` backend opens as SQLite.
-_SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
-
-
-def open_store(path: str | os.PathLike, backend: str = "auto") -> ResultStore:
-    """Open a persistent result store, choosing the backend.
-
-    ``backend="auto"`` infers from the file extension; ``"jsonl"`` and
-    ``"sqlite"`` force a format regardless of name.  Both backends share
-    the same fingerprint-digest keys, so a path always reopens with the
-    backend that created it as long as the extension is kept.
-    """
-    if backend not in STORE_BACKENDS:
-        raise ValueError(
-            f"unknown store backend {backend!r}; expected one of "
-            f"{', '.join(STORE_BACKENDS)}"
-        )
-    if backend == "auto":
-        suffix = Path(path).suffix.lower()
-        backend = "sqlite" if suffix in _SQLITE_SUFFIXES else "jsonl"
-    if backend == "sqlite":
-        from repro.engine.sqlite_store import SqliteStore
-
-        return SqliteStore(path)
-    return JsonlStore(path)
-
-
-class JsonlStore(ResultStore):
-    """An on-disk store: one JSON record per line, append-only.
-
-    The file is read once on open; later ``put`` calls append to both the
-    in-memory index and the file.  Records carry their key and the full
-    :meth:`SimulationResult.to_dict` payload, so any line is independently
-    interpretable and duplicated keys resolve to the latest record.
-    """
-
-    def __init__(self, path: str | os.PathLike) -> None:
-        self.path = Path(path)
-        self._results: dict[str, SimulationResult] = {}
-        if self.path.exists():
-            self._load()
-
-    def _load(self) -> None:
-        from repro.sim.results import SimulationResult
-
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                # A process killed mid-append leaves a truncated last line;
-                # results are recomputable, so skip anything unreadable
-                # rather than making the whole store unusable.
-                try:
-                    record = json.loads(line)
-                    self._results[record["key"]] = SimulationResult.from_dict(
-                        record["result"]
-                    )
-                except (ValueError, KeyError, TypeError):
-                    continue
-
-    def get(self, key: str) -> Optional[SimulationResult]:
-        return self._results.get(key)
-
-    def put(self, key: str, result: SimulationResult) -> None:
-        self._results[key] = result
-        record = {"key": key, "result": result.to_dict()}
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-    def __len__(self) -> int:
-        return len(self._results)
-
-    def keys(self) -> Iterator[str]:
-        return iter(self._results)
-
-    def record_count(self) -> int:
-        """Lines currently in the file, stale duplicates included."""
-        if not self.path.exists():
-            return 0
-        with self.path.open("r", encoding="utf-8") as handle:
-            return sum(1 for line in handle if line.strip())
-
-    def compact(self) -> dict:
-        """Rewrite the file keeping only the latest record per key.
-
-        Append-only last-write-wins means re-put keys accumulate stale
-        lines forever; compaction rewrites the live in-memory index to a
-        temporary file and atomically replaces the original, so a crash
-        mid-compact leaves the old store intact.  Returns before/after
-        record and byte counts.
-        """
-        records_before = self.record_count()
-        bytes_before = self.path.stat().st_size if self.path.exists() else 0
-        if self._results:
-            tmp_path = self.path.with_name(self.path.name + ".compact.tmp")
-            with tmp_path.open("w", encoding="utf-8") as handle:
-                for key, result in self._results.items():
-                    record = {"key": key, "result": result.to_dict()}
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
-            os.replace(tmp_path, self.path)
-        elif self.path.exists():
-            self.path.write_text("", encoding="utf-8")
-        bytes_after = self.path.stat().st_size if self.path.exists() else 0
-        return {
-            "records_before": records_before,
-            "records_after": len(self._results),
-            "bytes_before": bytes_before,
-            "bytes_after": bytes_after,
-        }

@@ -25,7 +25,7 @@ defines one spec factory and one aggregate per table and figure, and
 nothing of them; the dependency points from the experiments to here.
 
 CLI: ``python -m repro sweep <spec.json|builtin-name> --workers N
---store cache.jsonl --out dir/``, where a built-in name is any
+--store cache.sqlite --out dir/``, where a built-in name is any
 experiment's spec name (``repro list`` shows them).
 """
 

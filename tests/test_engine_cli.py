@@ -103,7 +103,7 @@ class TestRunCommand:
         assert json.loads(out_path.read_text())
 
     def test_second_invocation_hits_store(self, tmp_path):
-        store = tmp_path / "cache.jsonl"
+        store = tmp_path / "cache.sqlite"
         argv = [
             "run",
             "figure7",
@@ -165,11 +165,9 @@ class TestResilienceFlags:
         assert "— 0 simulated" in err
         assert json.loads(second_out) == json.loads(first_out)
 
-    def test_explicit_backend_flag(self, tmp_path):
+    def test_store_format_does_not_depend_on_the_extension(self, tmp_path):
         store = tmp_path / "cache.dat"  # extension says nothing
-        code, _, _ = run_cli(
-            self.ARGV + ["--store", str(store), "--store-backend", "sqlite"]
-        )
+        code, _, _ = run_cli(self.ARGV + ["--store", str(store)])
         assert code == 0
         assert store.read_bytes()[:15] == b"SQLite format 3"
 
@@ -204,7 +202,6 @@ class TestResilienceFlags:
         for argv in (
             ["run", "figure5", "--max-retries", "-1"],
             ["run", "figure5", "--job-timeout", "0"],
-            ["run", "figure5", "--store-backend", "parquet"],
         ):
             with pytest.raises(SystemExit):
                 run_cli(argv)
@@ -242,53 +239,91 @@ class TestRemoteFlags:
 
 class TestStoreCommand:
     @pytest.fixture()
-    def seeded_jsonl(self, tmp_path):
-        from repro.engine.store import JsonlStore
+    def seeded_store(self, tmp_path):
+        from repro.engine.sqlite_store import SqliteStore
 
         from tests.conftest import quick_run
 
-        path = tmp_path / "cache.jsonl"
-        store = JsonlStore(path)
+        path = tmp_path / "cache.sqlite"
         result = quick_run("refab", cycles=1200, warmup=200)
-        store.put("key1", result)
-        store.put("key1", result)  # stale duplicate line
-        store.put("key2", result)
+        with SqliteStore(path) as store:
+            store.put("key1", result)
+            store.put("key1", result)  # an upsert, not a second record
+            store.put("key2", result)
         return path
 
-    def test_stat_reports_records_and_stale_lines(self, seeded_jsonl):
-        code, out, _ = run_cli(["store", "stat", str(seeded_jsonl)])
+    def test_stat_reports_results_and_bytes(self, seeded_store):
+        code, out, _ = run_cli(["store", "stat", str(seeded_store)])
         assert code == 0
-        assert "JsonlStore, 2 result(s)" in out
-        assert "3 record line(s), 1 stale" in out
+        assert f"{seeded_store}: 2 result(s), " in out
+        assert "bytes on disk" in out
 
     def test_stat_missing_file_fails(self, tmp_path):
-        code, _, err = run_cli(["store", "stat", str(tmp_path / "absent.jsonl")])
+        code, _, err = run_cli(["store", "stat", str(tmp_path / "absent.sqlite")])
         assert code == 2
         assert "does not exist" in err
+        assert not (tmp_path / "absent.sqlite").exists()
 
-    def test_copy_migrates_between_backends(self, seeded_jsonl, tmp_path):
-        destination = tmp_path / "cache.sqlite"
+    def test_copy_merges_every_result(self, seeded_store, tmp_path):
+        destination = tmp_path / "copy.sqlite"
         code, out, _ = run_cli(
-            ["store", "copy", str(seeded_jsonl), str(destination)]
+            ["store", "copy", str(seeded_store), str(destination)]
         )
         assert code == 0
         assert "copied 2 result(s)" in out
         assert destination.read_bytes()[:15] == b"SQLite format 3"
 
-    def test_compact_drops_stale_jsonl_records(self, seeded_jsonl):
-        before = len(seeded_jsonl.read_text().strip().splitlines())
-        code, out, _ = run_cli(["store", "compact", str(seeded_jsonl)])
+    def test_compact_sqlite_store(self, seeded_store):
+        code, out, _ = run_cli(["store", "compact", str(seeded_store)])
         assert code == 0
-        assert "3 -> 2 record(s)" in out
-        after = len(seeded_jsonl.read_text().strip().splitlines())
-        assert (before, after) == (3, 2)
+        assert f"compacted {seeded_store}: 2 -> 2 record(s)" in out
 
-    def test_compact_sqlite_store(self, seeded_jsonl, tmp_path):
-        destination = tmp_path / "cache.sqlite"
-        run_cli(["store", "copy", str(seeded_jsonl), str(destination)])
-        code, out, _ = run_cli(["store", "compact", str(destination)])
+    def test_stat_after_compact_reports_compacted_bytes(self, seeded_store):
+        # Both commands count the same bytes (database plus WAL).
+        code, out, _ = run_cli(["store", "compact", str(seeded_store)])
         assert code == 0
-        assert "compacted" in out
+        bytes_after = int(out.split(" -> ")[-1].split()[0])
+        code, out, _ = run_cli(["store", "stat", str(seeded_store)])
+        assert code == 0
+        assert f", {bytes_after} bytes on disk" in out
+
+
+class TestNonStoreFile:
+    """A file that is not a SQLite result store fails loudly, by content."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "figure5", "--store", "{bad}"],
+            ["sweep", "figure13_all_mechanisms", "--store", "{bad}"],
+            ["bench", "run", "--only", "sweep_cache", "--store", "{bad}"],
+            ["report", "paper", "--artifacts", "table2", "--store", "{bad}"],
+            ["store", "stat", "{bad}"],
+            ["store", "copy", "{bad}", "{good}"],
+            ["store", "compact", "{bad}"],
+        ],
+        ids=lambda argv: "-".join(argv[:2]),
+    )
+    def test_exits_2_with_an_error_line(self, argv, tmp_path):
+        # An old JSON-lines store, named as a SQLite one: only the content
+        # can tell, and it must neither crash nor be overwritten.
+        bad = tmp_path / "cache.sqlite"
+        content = '{"key": "k", "result": {}}\n'
+        bad.write_text(content)
+        paths = {"bad": str(bad), "good": str(tmp_path / "out.sqlite")}
+        child = subprocess.run(
+            [sys.executable, "-m", "repro"]
+            + [arg.format(**paths) for arg in argv],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+            timeout=120,
+        )
+        assert child.returncode == 2, child.stderr
+        assert f"error: cannot open result store {bad}" in child.stderr
+        assert "Traceback" not in child.stderr
+        assert bad.read_text() == content
 
 
 class TestModuleEntryPoint:

@@ -3,12 +3,14 @@
 import json
 import multiprocessing
 import pickle
+import signal
+import sqlite3
 
 import pytest
 
 from repro.engine.jobs import SimulationJob, execute_job, fingerprint_digest
 from repro.engine.sqlite_store import SqliteStore, copy_store
-from repro.engine.store import InMemoryStore, JsonlStore, open_store
+from repro.engine.store import InMemoryStore, ResultStore
 from repro.sim.results import SimulationResult
 from repro.workloads.mixes import Workload, make_workload_category
 
@@ -103,72 +105,7 @@ class TestStores:
         assert store.get("k") == result
         assert "k" in store
         assert len(store) == 1
-
-    def test_jsonl_store_round_trip(self, result, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        store = JsonlStore(path)
-        assert len(store) == 0
-        store.put("key1", result)
-        assert store.get("key1") == result
-
-        reopened = JsonlStore(path)
-        assert len(reopened) == 1
-        assert reopened.get("key1") == result
-
-    def test_jsonl_store_last_write_wins(self, result, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        store = JsonlStore(path)
-        store.put("key1", result)
-        updated = SimulationResult.from_dict(result.to_dict())
-        updated.workload = "other"
-        store.put("key1", updated)
-
-        reopened = JsonlStore(path)
-        assert len(reopened) == 1
-        assert reopened.get("key1").workload == "other"
-        # The file keeps both records (append-only), the index keeps one.
-        assert len(path.read_text().strip().splitlines()) == 2
-
-    def test_jsonl_store_creates_parent_directories(self, result, tmp_path):
-        path = tmp_path / "nested" / "dir" / "cache.jsonl"
-        JsonlStore(path).put("key1", result)
-        assert JsonlStore(path).get("key1") == result
-
-    def test_jsonl_store_ignores_blank_lines(self, result, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        JsonlStore(path).put("key1", result)
-        with path.open("a") as handle:
-            handle.write("\n\n")
-        assert JsonlStore(path).get("key1") == result
-
-    def test_jsonl_store_skips_truncated_trailing_record(self, result, tmp_path):
-        # A process killed mid-append leaves a partial line; the store must
-        # stay readable (the lost result is simply re-simulated).
-        path = tmp_path / "cache.jsonl"
-        JsonlStore(path).put("key1", result)
-        with path.open("a") as handle:
-            handle.write('{"key": "key2", "result": {"trunc')
-        reopened = JsonlStore(path)
-        assert reopened.get("key1") == result
-        assert reopened.get("key2") is None
-        assert len(reopened) == 1
-
-    def test_jsonl_store_survives_corrupted_middle_record(self, result, tmp_path):
-        # Corruption anywhere in the file (disk error, manual edit) must
-        # only lose the damaged record, never the records around it.
-        path = tmp_path / "cache.jsonl"
-        store = JsonlStore(path)
-        store.put("key1", result)
-        store.put("key2", result)
-        store.put("key3", result)
-        lines = path.read_text().splitlines()
-        lines[1] = lines[1][: len(lines[1]) // 2] + "<<GARBAGE>>"
-        path.write_text("\n".join(lines) + "\n")
-        reopened = JsonlStore(path)
-        assert reopened.get("key1") == result
-        assert reopened.get("key2") is None
-        assert reopened.get("key3") == result
-        assert len(reopened) == 2
+        assert list(store.keys()) == ["k"]
 
 
 def _sqlite_writer(path, prefix, count, result_dict):
@@ -178,6 +115,17 @@ def _sqlite_writer(path, prefix, count, result_dict):
     for index in range(count):
         store.put(f"{prefix}-{index:03d}", result)
     store.close()
+
+
+def _killable_writer(path, result_dict, acks):
+    """Child-process entry: put results forever, acknowledging each commit."""
+    result = SimulationResult.from_dict(result_dict)
+    store = SqliteStore(path)
+    index = 0
+    while True:
+        store.put(f"key-{index:05d}", result)
+        acks.send(index)
+        index += 1
 
 
 class TestSqliteStore:
@@ -203,6 +151,10 @@ class TestSqliteStore:
         store.put("key1", updated)
         assert len(store) == 1
         assert store.get("key1").workload == "other"
+        store.close()
+        with SqliteStore(store.path) as reopened:
+            assert len(reopened) == 1
+            assert reopened.get("key1").workload == "other"
 
     def test_creates_parent_directories(self, result, tmp_path):
         path = tmp_path / "nested" / "dir" / "cache.sqlite"
@@ -248,35 +200,72 @@ class TestSqliteStore:
             assert store.get(f"writer{index}-000") == result
 
 
+    def test_killed_writer_keeps_every_committed_result(self, result, tmp_path):
+        # A run killed mid-batch (the --resume scenario) must lose at most
+        # the put in flight: every acknowledged commit survives, and the
+        # reopened store accepts new writes.
+        path = tmp_path / "cache.sqlite"
+        context = multiprocessing.get_context("spawn")
+        receiver, sender = context.Pipe(duplex=False)
+        writer = context.Process(
+            target=_killable_writer, args=(path, result.to_dict(), sender)
+        )
+        writer.start()
+        sender.close()
+        committed = -1
+        try:
+            while committed < 40:
+                assert receiver.poll(60), "writer stopped acknowledging puts"
+                committed = receiver.recv()
+        finally:
+            writer.kill()
+            writer.join(timeout=60)
+        assert writer.exitcode == -signal.SIGKILL
+
+        with SqliteStore(path) as reopened:
+            keys = list(reopened.keys())
+            assert len(keys) >= committed + 1
+            for index in range(committed + 1):
+                assert reopened.get(f"key-{index:05d}") == result
+            # Nothing half-written: every stored key reads back whole.
+            assert all(reopened.get(key) == result for key in keys)
+            reopened.put("after-kill", result)
+        with SqliteStore(path) as again:
+            assert again.get("after-kill") == result
+            assert len(again) == len(keys) + 1
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"hello\nworld\n",
+            b'{"key": "k", "result": {}}\n',  # a JSON-lines store
+        ],
+        ids=["text", "jsonl"],
+    )
+    def test_non_database_file_is_refused_by_content(self, content, tmp_path):
+        # The name says SQLite; the content decides.
+        path = tmp_path / "cache.sqlite"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match="cache.sqlite"):
+            SqliteStore(path)
+        assert path.read_bytes() == content
+
+    def test_foreign_results_table_is_refused(self, tmp_path):
+        path = tmp_path / "other.db"
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE results (id INTEGER, score REAL)")
+        conn.close()
+        with pytest.raises(ValueError, match="other.db"):
+            SqliteStore(path)
+
+
 class TestCompaction:
-    def test_jsonl_compact_drops_stale_duplicates(self, result, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        store = JsonlStore(path)
-        updated = SimulationResult.from_dict(result.to_dict())
-        updated.workload = "other"
-        for _ in range(3):
-            store.put("key1", result)
-        store.put("key1", updated)
-        store.put("key2", result)
-        assert store.record_count() == 5
-
-        summary = store.compact()
-        assert summary["records_before"] == 5
-        assert summary["records_after"] == 2
-        assert summary["bytes_after"] < summary["bytes_before"]
-        assert store.record_count() == 2
-
-        # Compaction keeps exactly the latest record per key.
-        reopened = JsonlStore(path)
-        assert len(reopened) == 2
-        assert reopened.get("key1").workload == "other"
-        assert reopened.get("key2") == result
-
-    def test_jsonl_compact_of_empty_store_is_a_no_op(self, tmp_path):
-        store = JsonlStore(tmp_path / "cache.jsonl")
-        summary = store.compact()
-        assert summary["records_before"] == 0
-        assert summary["records_after"] == 0
+    def test_sqlite_compact_of_empty_store_is_a_no_op(self, tmp_path):
+        with SqliteStore(tmp_path / "cache.sqlite") as store:
+            summary = store.compact()
+            assert summary["records_before"] == 0
+            assert summary["records_after"] == 0
+            assert summary["bytes_after"] == store.disk_bytes()
 
     def test_sqlite_compact_reports_counts_and_keeps_data(self, result, tmp_path):
         store = SqliteStore(tmp_path / "cache.sqlite")
@@ -295,50 +284,39 @@ class TestCompaction:
         reopened.close()
 
 
-class TestOpenStore:
-    def test_auto_infers_backend_from_extension(self, tmp_path):
-        assert isinstance(open_store(tmp_path / "cache.jsonl"), JsonlStore)
-        for suffix in ("sqlite", "sqlite3", "db"):
-            assert isinstance(open_store(tmp_path / f"cache.{suffix}"), SqliteStore)
-
-    def test_explicit_backend_overrides_extension(self, tmp_path):
-        assert isinstance(
-            open_store(tmp_path / "cache.dat", backend="sqlite"), SqliteStore
-        )
-        assert isinstance(
-            open_store(tmp_path / "cache.db2", backend="jsonl"), JsonlStore
-        )
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown store backend"):
-            open_store(tmp_path / "cache.jsonl", backend="parquet")
-
-
 class TestCopyStore:
-    def test_jsonl_sqlite_round_trip_equivalence(self, result, tmp_path):
-        # Both backends share fingerprint keys, so a cache migrates between
-        # them losslessly in either direction.
-        jsonl = JsonlStore(tmp_path / "cache.jsonl")
+    def test_copy_round_trip_equivalence(self, result, tmp_path):
+        # Every store shares fingerprint keys, so results move between
+        # stores losslessly in either direction.
+        source = InMemoryStore()
         updated = SimulationResult.from_dict(result.to_dict())
         updated.workload = "other"
-        jsonl.put("key1", result)
-        jsonl.put("key2", updated)
+        source.put("key1", result)
+        source.put("key2", updated)
 
         sqlite = SqliteStore(tmp_path / "cache.sqlite")
-        assert copy_store(jsonl, sqlite) == 2
+        assert copy_store(source, sqlite) == 2
         assert sqlite.get("key1") == result
         assert sqlite.get("key2") == updated
 
-        back = JsonlStore(tmp_path / "roundtrip.jsonl")
+        back = InMemoryStore()
         assert copy_store(sqlite, back) == 2
-        assert sorted(back.keys()) == sorted(jsonl.keys())
+        assert sorted(back.keys()) == sorted(source.keys())
         for key in back.keys():
-            assert back.get(key) == jsonl.get(key)
+            assert back.get(key) == source.get(key)
 
-    def test_source_without_key_enumeration_rejected(self, result, tmp_path):
-        class Opaque:
+    def test_source_without_key_enumeration_rejected(self):
+        # ``keys`` is part of the interface, so a store that cannot
+        # enumerate its keys (and could not be copied) cannot exist.
+        class Opaque(ResultStore):
             def get(self, key):
                 return None
 
-        with pytest.raises(TypeError, match="does not enumerate keys"):
-            copy_store(Opaque(), InMemoryStore())
+            def put(self, key, result):
+                pass
+
+            def __len__(self):
+                return 0
+
+        with pytest.raises(TypeError, match="keys"):
+            Opaque()

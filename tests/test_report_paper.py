@@ -17,12 +17,14 @@ import pathlib
 import pytest
 
 from repro.cli import main
+from repro.engine.sqlite_store import SqliteStore
 from repro.report.paper import (
     GOLDEN_SCALE,
     ReportError,
     generate_paper_report,
 )
 from repro.sim.registry import EXPERIMENTS
+from repro.sim.results import SimulationResult
 from repro.sim.runner import ExperimentRunner
 
 GOLDEN_ARGS = [
@@ -49,7 +51,7 @@ def invoke(argv):
 def cold_run(tmp_path_factory):
     """One cold ``report paper`` run for table2 at the golden identity."""
     tmp = tmp_path_factory.mktemp("report-paper")
-    store = tmp / "store.jsonl"
+    store = tmp / "store.sqlite"
     out = tmp / "cold"
     code, stdout, stderr = invoke(
         ["report", "paper", "--store", str(store), "--out", str(out),
@@ -111,17 +113,16 @@ class TestWarmStoreDeterminism:
 class TestGoldenCrosscheck:
     def test_tampered_store_fails_the_crosscheck(self, cold_run, tmp_path):
         tmp, store, _, _ = cold_run
-        tampered = tmp_path / "tampered.jsonl"
-        lines = []
-        for index, line in enumerate(store.read_text().splitlines()):
-            record = json.loads(line)
-            # Skew one in three results: a uniform skew would cancel in
-            # the normalized weighted-speedup ratios.
-            if index % 3 == 0:
-                for core in record["result"].get("cores", []):
-                    core["ipc"] *= 1.5
-            lines.append(json.dumps(record))
-        tampered.write_text("\n".join(lines) + "\n")
+        tampered = tmp_path / "tampered.sqlite"
+        with SqliteStore(store) as source, SqliteStore(tampered) as target:
+            for index, key in enumerate(source.keys()):
+                record = source.get(key).to_dict()
+                # Skew one in three results: a uniform skew would cancel in
+                # the normalized weighted-speedup ratios.
+                if index % 3 == 0:
+                    for core in record.get("cores", []):
+                        core["ipc"] *= 1.5
+                target.put(key, SimulationResult.from_dict(record))
         code, stdout, stderr = invoke(
             ["report", "paper", "--store", str(tampered),
              "--out", str(tmp_path / "out"), "--artifacts", "table2"]

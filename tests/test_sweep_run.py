@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.engine.store import JsonlStore
+from repro.engine.sqlite_store import SqliteStore
 from repro.sim.runner import ExperimentRunner
 from repro.sweep import (
     Axis,
@@ -58,16 +58,16 @@ class TestRunSweep:
             assert cell.energy_per_access_nj > 0
 
     def test_warm_store_resweep_is_free(self, tmp_path):
-        store_path = tmp_path / "cache.jsonl"
+        store_path = tmp_path / "cache.sqlite"
         cold_runner = ExperimentRunner(
-            cycles=CYCLES, warmup=WARMUP, store=JsonlStore(store_path)
+            cycles=CYCLES, warmup=WARMUP, store=SqliteStore(store_path)
         )
         cold = run_sweep(tiny_spec(), runner=cold_runner)
         assert cold_runner.summary()["simulated"] > 0
 
         # Fresh runner and store object; only the file is shared.
         warm_runner = ExperimentRunner(
-            cycles=CYCLES, warmup=WARMUP, store=JsonlStore(store_path)
+            cycles=CYCLES, warmup=WARMUP, store=SqliteStore(store_path)
         )
         warm = run_sweep(tiny_spec(), runner=warm_runner)
         assert warm_runner.summary()["simulated"] == 0
@@ -216,7 +216,7 @@ class TestSweepCli:
     def test_sweep_from_spec_file(self, tmp_path):
         spec_path = tiny_spec().save(tmp_path / "spec.json")
         out_dir = tmp_path / "artifact"
-        store = tmp_path / "cache.jsonl"
+        store = tmp_path / "cache.sqlite"
         argv = [
             "sweep",
             str(spec_path),
