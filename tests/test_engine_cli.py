@@ -278,6 +278,39 @@ class TestStoreCommand:
         assert code == 0
         assert f"compacted {seeded_store}: 2 -> 2 record(s)" in out
 
+    def test_compact_keeps_the_latest_write_per_key(self, tmp_path):
+        from repro.engine.sqlite_store import SqliteStore
+
+        from tests.conftest import quick_run
+
+        path = tmp_path / "cache.sqlite"
+        result = quick_run("refab", cycles=1200, warmup=200)
+        updated = type(result).from_dict(result.to_dict())
+        updated.workload = "other"
+        with SqliteStore(path) as store:
+            store.put("key1", result)
+            store.put("key1", updated)
+            store.put("key2", result)
+        code, out, _ = run_cli(["store", "compact", str(path)])
+        assert code == 0
+        assert "2 -> 2 record(s)" in out
+        with SqliteStore(path) as reopened:
+            assert list(reopened.keys()) == ["key1", "key2"]
+            assert reopened.get("key1") == updated
+            assert reopened.get("key2") == result
+
+    def test_copy_creates_destination_directories(self, seeded_store, tmp_path):
+        from repro.engine.sqlite_store import SqliteStore
+
+        destination = tmp_path / "nested" / "dir" / "copy.sqlite"
+        code, out, _ = run_cli(
+            ["store", "copy", str(seeded_store), str(destination)]
+        )
+        assert code == 0
+        assert "copied 2 result(s)" in out
+        with SqliteStore(destination) as copy:
+            assert list(copy.keys()) == ["key1", "key2"]
+
     def test_stat_after_compact_reports_compacted_bytes(self, seeded_store):
         # Both commands count the same bytes (database plus WAL).
         code, out, _ = run_cli(["store", "compact", str(seeded_store)])

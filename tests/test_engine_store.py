@@ -161,6 +161,14 @@ class TestSqliteStore:
         SqliteStore(path).put("key1", result)
         assert SqliteStore(path).get("key1") == result
 
+    def test_every_extension_opens_as_sqlite(self, result, tmp_path):
+        # There is one format, so a new store is SQLite whatever its name.
+        for name in ("cache.jsonl", "cache.sqlite", "cache.db", "cache.dat"):
+            path = tmp_path / name
+            with SqliteStore(path) as store:
+                store.put("key1", result)
+            assert path.read_bytes()[:15] == b"SQLite format 3"
+
     def test_keys_are_ordered(self, result, tmp_path):
         store = SqliteStore(tmp_path / "cache.sqlite")
         for key in ("zebra", "alpha", "mango"):
@@ -175,6 +183,59 @@ class TestSqliteStore:
             "UPDATE results SET result = ? WHERE key = ?", ("not json", "key1")
         )
         assert store.get("key1") is None
+
+    def test_last_write_wins_across_open_handles(self, result, tmp_path):
+        # Two runs sharing one store each hold a connection; a write through
+        # either one is what both read next.
+        path = tmp_path / "cache.sqlite"
+        updated = SimulationResult.from_dict(result.to_dict())
+        updated.workload = "other"
+        with SqliteStore(path) as first, SqliteStore(path) as second:
+            first.put("key1", result)
+            assert second.get("key1") == result
+            second.put("key1", updated)
+            assert first.get("key1") == updated
+            assert len(first) == len(second) == 1
+
+    def test_records_are_plain_canonical_json(self, result, tmp_path):
+        # The database is self-describing: a plain sqlite3 query reads back
+        # the exact ``to_dict`` payload, with sorted keys.
+        path = tmp_path / "cache.sqlite"
+        with SqliteStore(path) as store:
+            store.put("key1", result)
+        conn = sqlite3.connect(path)
+        try:
+            (payload,) = conn.execute(
+                "SELECT result FROM results WHERE key = ?", ("key1",)
+            ).fetchone()
+        finally:
+            conn.close()
+        assert payload == json.dumps(result.to_dict(), sort_keys=True)
+        assert SimulationResult.from_dict(json.loads(payload)) == result
+
+    def test_damaged_record_loses_only_itself(self, result, tmp_path):
+        # A record edited from outside the store (a manual fix gone wrong)
+        # must cost that one result, never the results around it.
+        path = tmp_path / "cache.sqlite"
+        with SqliteStore(path) as store:
+            for key in ("key1", "key2", "key3"):
+                store.put(key, result)
+        conn = sqlite3.connect(path)
+        try:
+            with conn:
+                conn.execute(
+                    "UPDATE results SET result = substr(result, 1, 40) || "
+                    "'<<GARBAGE>>' WHERE key = 'key2'"
+                )
+        finally:
+            conn.close()
+        with SqliteStore(path) as reopened:
+            assert reopened.get("key1") == result
+            assert reopened.get("key2") is None
+            assert reopened.get("key3") == result
+            survivors = InMemoryStore()
+            assert copy_store(reopened, survivors) == 2
+            assert sorted(survivors.keys()) == ["key1", "key3"]
 
     def test_concurrent_writers_do_not_corrupt(self, result, tmp_path):
         # Several processes upserting into one WAL-mode database must all
@@ -282,6 +343,28 @@ class TestCompaction:
         reopened = SqliteStore(store.path)
         assert len(reopened) == 20
         reopened.close()
+
+
+    def test_sqlite_compact_keeps_the_latest_write_per_key(self, result, tmp_path):
+        store = SqliteStore(tmp_path / "cache.sqlite")
+        updated = SimulationResult.from_dict(result.to_dict())
+        updated.workload = "other"
+        for _ in range(3):
+            store.put("key1", result)
+        store.put("key1", updated)
+        store.put("key2", result)
+
+        summary = store.compact()
+        assert summary["records_before"] == 2
+        assert summary["records_after"] == 2
+        # The WAL holds every overwrite; compaction folds it away.
+        assert summary["bytes_after"] < summary["bytes_before"]
+        store.close()
+
+        with SqliteStore(store.path) as reopened:
+            assert len(reopened) == 2
+            assert reopened.get("key1") == updated
+            assert reopened.get("key2") == result
 
 
 class TestCopyStore:
