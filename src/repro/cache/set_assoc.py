@@ -98,28 +98,29 @@ class SetAssociativeCache:
         cache_set[tag] = is_write
         return result
 
-    def fill(self, accesses: Iterable, offset: int = 0) -> None:
+    def fill(self, accesses: Iterable[tuple[int, bool]], offset: int = 0) -> None:
         """Apply many accesses for their effect on the cache state only.
 
-        ``accesses`` yields records with ``address`` and ``is_write``
-        fields (trace entries), each accessed at ``offset + address``.
-        Every set ends with the lines, LRU order and dirty flags that
-        :meth:`access` would leave; no statistics are counted and no
-        results are built.  This is how an LLC is functionally warmed.
+        ``accesses`` yields ``(address, is_write)`` pairs (a benchmark's
+        :meth:`~repro.workloads.benchmark_suite.Benchmark.warm_accesses`),
+        each accessed at ``offset + address``.  Every set ends with the
+        lines, LRU order and dirty flags that :meth:`access` would leave;
+        no statistics are counted and no results are built.  This is how
+        an LLC is functionally warmed.
         """
         sets = self._sets
         line_bytes = self.line_bytes
         num_sets = self.num_sets
         ways = self.associativity
-        for entry in accesses:
-            tag, index = divmod((offset + entry.address) // line_bytes, num_sets)
+        for address, is_write in accesses:
+            tag, index = divmod((offset + address) // line_bytes, num_sets)
             cache_set = sets[index]
             if tag in cache_set:
-                cache_set[tag] = cache_set.pop(tag) or entry.is_write
+                cache_set[tag] = cache_set.pop(tag) or is_write
             else:
                 if len(cache_set) >= ways:
                     del cache_set[next(iter(cache_set))]
-                cache_set[tag] = entry.is_write
+                cache_set[tag] = is_write
 
     def contains(self, address: int) -> bool:
         """True if the line holding ``address`` is resident (no LRU update)."""

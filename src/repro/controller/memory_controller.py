@@ -445,20 +445,10 @@ class ChannelController:
             command = scheduler._column_command(req, scheduler.window_writes)
         elif kind == WIN_ACT:
             command = Command(
-                kind=CommandType.ACT,
-                channel=self.channel_id,
-                rank=rank_i,
-                bank=bank_i,
-                row=req.row,
-                request=req,
+                CommandType.ACT, self.channel_id, rank_i, bank_i, req.row, 0, req
             )
         else:
-            command = Command(
-                kind=CommandType.PRE,
-                channel=self.channel_id,
-                rank=rank_i,
-                bank=bank_i,
-            )
+            command = Command(CommandType.PRE, self.channel_id, rank_i, bank_i)
         scheduler.note_issue(command)
         self._issue_source = "demand"
         self.last_tick_issued = True
@@ -792,26 +782,23 @@ class MemorySystem:
 
     # -- processor-side interface ------------------------------------------------
     def controller_for(self, address: int) -> ChannelController:
-        location = self.mapper.decode(address)
-        return self.controllers[location.channel]
+        return self.controllers[self.mapper.channel_of(address)]
 
     def can_accept(self, address: int, is_write: bool) -> bool:
-        return self.controller_for(address).can_accept(is_write)
+        """Whether the channel owning ``address`` has queue space.
+
+        Reads only the channel bits: the full decode happens once, in
+        :meth:`access`.
+        """
+        return self.controllers[self.mapper.channel_of(address)].can_accept(is_write)
 
     def access(
         self, address: int, is_write: bool, core_id: int, cycle: int
     ) -> Optional[MemRequest]:
         """Enqueue a request; returns it, or None if the target queue is full."""
         location = self.mapper.decode(address)
-        controller = self.controllers[location.channel]
-        request = MemRequest(
-            address=address,
-            is_write=is_write,
-            location=location,
-            core_id=core_id,
-            arrival_cycle=cycle,
-        )
-        if controller.enqueue(request):
+        request = MemRequest(address, is_write, location, core_id, cycle)
+        if self.controllers[location.channel].enqueue(request):
             return request
         return None
 

@@ -127,16 +127,9 @@ class SchedulerPolicy(abc.ABC):
         keyed off the request itself: hit candidates always come from the
         queue map matching the serve-writes mode.
         """
-        loc = request.location
-        return Command(
-            kind=CommandType.WR if request.is_write else CommandType.RD,
-            channel=loc.channel,
-            rank=loc.rank,
-            bank=loc.bank,
-            row=loc.row,
-            column=loc.column,
-            request=request,
-        )
+        # A location's fields are the command's channel..column, in order.
+        kind = CommandType.WR if request.is_write else CommandType.RD
+        return Command(kind, *request.location, request)
 
     def _column_command(self, request: "MemRequest", writes: bool) -> Command:
         """Build the column command serving ``request``.
@@ -155,16 +148,7 @@ class SchedulerPolicy(abc.ABC):
             kind = CommandType.WR if keep_open else CommandType.WRA
         else:
             kind = CommandType.RD if keep_open else CommandType.RDA
-        loc = request.location
-        return Command(
-            kind=kind,
-            channel=loc.channel,
-            rank=loc.rank,
-            bank=loc.bank,
-            row=loc.row,
-            column=loc.column,
-            request=request,
-        )
+        return Command(kind, *request.location, request)
 
     def _another_hit_pending(self, request: "MemRequest") -> bool:
         """True if a different queued request targets the same bank and row."""

@@ -141,12 +141,7 @@ class FRFCFSScheduler(SchedulerPolicy):
             bank = ranks[rank_i].banks[bank_i]
             if bank.open_row is None:
                 command = Command(
-                    kind=CommandType.ACT,
-                    channel=channel,
-                    rank=rank_i,
-                    bank=bank_i,
-                    row=req.row,
-                    request=req,
+                    CommandType.ACT, channel, rank_i, bank_i, req.row, 0, req
                 )
                 if device.can_issue(command, cycle):
                     return command, None
@@ -154,12 +149,7 @@ class FRFCFSScheduler(SchedulerPolicy):
                     device.record_subarray_conflict(command)
                     self.last_conflicts.append(command)
             else:
-                command = Command(
-                    kind=CommandType.PRE,
-                    channel=channel,
-                    rank=rank_i,
-                    bank=bank_i,
-                )
+                command = Command(CommandType.PRE, channel, rank_i, bank_i)
                 if device.can_issue(command, cycle):
                     return command, None
         return None
@@ -211,12 +201,13 @@ class FRFCFSScheduler(SchedulerPolicy):
         command = None
         if match:
             command = Command(
-                kind=CommandType.ACT,
-                channel=self.controller.channel_id,
-                rank=rank_i,
-                bank=bank_i,
-                row=req.row,
-                request=req,
+                CommandType.ACT,
+                self.controller.channel_id,
+                rank_i,
+                bank_i,
+                req.row,
+                0,
+                req,
             )
         ready = bank.t_act
         if not device.sarp_enabled and bank.refresh_until > ready:

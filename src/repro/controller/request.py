@@ -11,7 +11,7 @@ from repro.dram.address import PhysicalLocation
 _request_ids = itertools.count()
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class MemRequest:
     """A single DRAM read or write request.
 
@@ -23,20 +23,36 @@ class MemRequest:
     address: int
     is_write: bool
     location: PhysicalLocation
-    core_id: int = 0
-    arrival_cycle: int = 0
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    core_id: int
+    arrival_cycle: int
+    request_id: int
     #: Cycle at which the DRAM data burst for this request completed.
-    completion_cycle: Optional[int] = None
+    completion_cycle: Optional[int]
+    #: (rank, bank) within the request's channel: the key of its queues.
+    bank_key: tuple[int, int] = field(compare=False, repr=False)
+
+    def __init__(
+        self,
+        address: int,
+        is_write: bool,
+        location: PhysicalLocation,
+        core_id: int = 0,
+        arrival_cycle: int = 0,
+        request_id: Optional[int] = None,
+        completion_cycle: Optional[int] = None,
+    ):
+        self.address = address
+        self.is_write = is_write
+        self.location = location
+        self.core_id = core_id
+        self.arrival_cycle = arrival_cycle
+        self.request_id = next(_request_ids) if request_id is None else request_id
+        self.completion_cycle = completion_cycle
+        self.bank_key = (location.rank, location.bank)
 
     @property
     def is_read(self) -> bool:
         return not self.is_write
-
-    @property
-    def bank_key(self) -> tuple[int, int]:
-        """(rank, bank) within the request's channel."""
-        return (self.location.rank, self.location.bank)
 
     @property
     def channel(self) -> int:

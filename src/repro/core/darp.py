@@ -305,10 +305,28 @@ class DARPPolicy(RefreshPolicy):
 
     def wants_draw_ticks(self) -> bool:
         """True while :meth:`post_demand` would draw every cycle (non-empty
-        pools): window cycles must each consume the same randomness."""
-        return self.refresh_config.enable_out_of_order and bool(
-            self._post_demand_pools()
-        )
+        pools): window cycles must each consume the same randomness.
+
+        Asked at every window install, when the pools are often stale, so
+        a stale cache is not rebuilt: some pool is non-empty exactly when
+        some rank has an idle bank within its pull-in budget.
+        """
+        if not self.refresh_config.enable_out_of_order:
+            return False
+        cache = self._pool_cache
+        if (
+            cache is not None
+            and cache[0] == self.controller.queues.idle_version
+            and cache[1] == self._debt_version
+        ):
+            return bool(cache[2])
+        floor = -self.refresh_config.max_pullin
+        counts = self.controller.queues.demand_counts
+        for rank, debts in enumerate(self._debt):
+            for bank, debt in enumerate(debts):
+                if debt > floor and not counts[(rank, bank)]:
+                    return True
+        return False
 
     def next_event_cycle(self, now: int) -> Optional[int]:
         """Next due refresh — or "right now" when a random draw could issue.

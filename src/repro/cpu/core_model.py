@@ -97,6 +97,8 @@ class Core:
         self.memory = memory
         self.address_offset = address_offset
         self.stats = CoreStats()
+        #: Instructions one tick may retire (a config property, read once).
+        self._budget = config.insts_per_dram_cycle
 
         #: Outstanding DRAM loads: (instruction sequence number, request).
         self._pending_loads: deque[tuple[int, MemRequest]] = deque()
@@ -141,137 +143,124 @@ class Core:
         event kernel may batch-replay), or :data:`CORE_ACTIVE` (anything
         else).  The value is truthy exactly when the core changed state,
         so boolean callers still read it as "did anything happen".
+
+        Each pass of the loop does the first thing the core can do:
+
+        1. drain a buffered dirty eviction into the write queue (a full
+           queue stalls the core);
+        2. stall if the core is a whole instruction window ahead of its
+           oldest outstanding load;
+        3. retire gap (non-memory) instructions, bounded by the budget
+           and the window headroom;
+        4. fetch the next trace entry;
+        5. execute the entry's memory access.  A store allocates its line
+           and never stalls (writes are not latency critical).  A load
+           stalls while it depends on an outstanding load; a load that
+           misses also stalls, before touching the cache, when the MSHRs
+           are exhausted or the channel's read queue is full, so the
+           retry has no side effects.  A dirty victim becomes the
+           buffered eviction.
+
+        The core's state lives in locals for the loop and is written back
+        once at the end; the memory system never calls back into the core
+        during a tick.
         """
-        budget = self.config.insts_per_dram_cycle
-        full_budget = budget
-        progressed = False
-        changed = False
-        other_than_gap = False
+        config = self.config
+        budget = full_budget = self._budget
+        window = config.instruction_window
+        memory = self.memory
+        llc = self.llc
+        stats = self.stats
+        pending_loads = self._pending_loads
+        writeback = self._pending_writeback
+        gap = self._gap_remaining
+        entry = self._current_entry
+        seq = start_seq = self._executed_seq
+        progressed = changed = other_than_gap = False
         gap_retired = 0
         while budget > 0:
-            writeback_was_pending = self._pending_writeback is not None
-            if not self._drain_writeback(cycle):
-                self.block_reason = (
-                    "write_queue",
-                    self.memory.controller_for(self._pending_writeback).channel_id,
-                )
-                break
-            if writeback_was_pending:
-                changed = True
-                other_than_gap = True
-            if self._window_full():
+            if writeback is not None:
+                if not memory.can_accept(writeback, True):
+                    self.block_reason = (
+                        "write_queue",
+                        memory.controller_for(writeback).channel_id,
+                    )
+                    break
+                memory.access(writeback, True, self.core_id, cycle)
+                stats.dram_writes_issued += 1
+                writeback = None
+                changed = other_than_gap = True
+            if pending_loads:
+                headroom = window - (seq - pending_loads[0][0])
+            else:
+                headroom = window
+            if headroom <= 0:
                 self.block_reason = ("completion",)
                 break
-            if self._gap_remaining > 0:
-                step = min(budget, self._gap_remaining, self._window_headroom())
-                self._gap_remaining -= step
-                self._retire(step)
+            if gap > 0:
+                step = gap if gap < budget else budget
+                if headroom < step:
+                    step = headroom
+                gap -= step
+                seq += step
                 budget -= step
                 gap_retired += step
                 progressed = True
                 continue
-            if self._current_entry is None:
-                self._fetch_next_entry()
-                changed = True
-                other_than_gap = True
+            if entry is None:
+                entry = next(self.trace)
+                gap = entry.gap
+                changed = other_than_gap = True
                 continue
-            if not self._execute_memory_access(cycle):
-                break
+            line_bytes = llc.line_bytes
+            line = (self.address_offset + entry.address) // line_bytes
+            address = line * line_bytes
+            if entry.is_write:
+                writeback = llc.access(address, True).writeback_address
+                stats.stores += 1
+            else:
+                # Dependent loads (pointer chasing) cannot issue while
+                # earlier loads are outstanding; they are what makes a
+                # workload sensitive to the latency a refresh adds.
+                if entry.depends and pending_loads:
+                    self.block_reason = ("completion",)
+                    break
+                tag, index = divmod(line, llc.num_sets)
+                hit = tag in llc._sets[index]
+                if not hit:
+                    if len(pending_loads) >= config.mshrs_per_core:
+                        self.block_reason = ("completion",)
+                        break
+                    if not memory.can_accept(address, False):
+                        self.block_reason = (
+                            "read_queue",
+                            memory.controller_for(address).channel_id,
+                        )
+                        break
+                writeback = llc.access(address, False).writeback_address
+                stats.loads += 1
+                if not hit:
+                    stats.llc_load_misses += 1
+                    request = memory.access(address, False, self.core_id, cycle)
+                    if request is not None:
+                        stats.dram_reads_issued += 1
+                        pending_loads.append((seq, request))
+                        self._pending_requests[request.request_id] = seq
+            seq += 1
+            entry = None
             budget -= 1
-            progressed = True
-            other_than_gap = True
+            progressed = other_than_gap = True
+        self._pending_writeback = writeback
+        self._gap_remaining = gap
+        self._current_entry = entry
+        self._executed_seq = seq
+        stats.instructions += seq - start_seq
         if not progressed:
-            self.stats.stall_cycles += 1
+            stats.stall_cycles += 1
             return CORE_ACTIVE if changed else CORE_BLOCKED
         if not other_than_gap and gap_retired == full_budget:
             return CORE_GAP
         return CORE_ACTIVE
-
-    # -- internals ---------------------------------------------------------------
-    def _retire(self, count: int) -> None:
-        self.stats.instructions += count
-        self._executed_seq += count
-
-    def _window_full(self) -> bool:
-        return self._window_headroom() <= 0
-
-    def _window_headroom(self) -> int:
-        """Instructions the core may still run ahead of its oldest pending load."""
-        if not self._pending_loads:
-            return self.config.instruction_window
-        oldest_seq = self._pending_loads[0][0]
-        return self.config.instruction_window - (self._executed_seq - oldest_seq)
-
-    def _fetch_next_entry(self) -> None:
-        entry = next(self.trace)
-        self._current_entry = entry
-        self._gap_remaining = entry.gap
-
-    def _drain_writeback(self, cycle: int) -> bool:
-        """Issue a buffered dirty eviction; False if still blocked."""
-        if self._pending_writeback is None:
-            return True
-        address = self._pending_writeback
-        if not self.memory.can_accept(address, True):
-            return False
-        self.memory.access(address, True, self.core_id, cycle)
-        self.stats.dram_writes_issued += 1
-        self._pending_writeback = None
-        return True
-
-    def _execute_memory_access(self, cycle: int) -> bool:
-        """Execute the current memory instruction; False if stalled."""
-        entry = self._current_entry
-        address = self.address_offset + entry.address
-        line_address = self.llc.line_address(address)
-
-        if entry.is_write:
-            result = self.llc.access(line_address, is_write=True)
-            self._queue_writeback(result.writeback_address)
-            self.stats.stores += 1
-            self._retire(1)
-            self._current_entry = None
-            return True
-
-        # Dependent loads (pointer chasing) cannot issue while earlier loads
-        # are still outstanding; they are what makes a workload sensitive to
-        # the latency a refresh adds to an individual request.
-        if entry.depends and self._pending_loads:
-            self.block_reason = ("completion",)
-            return False
-
-        # Loads: check MSHR and read-queue capacity before touching the
-        # cache so a stalled access can be retried without side effects.
-        if not self.llc.contains(line_address):
-            if len(self._pending_loads) >= self.config.mshrs_per_core:
-                self.block_reason = ("completion",)
-                return False
-            if not self.memory.can_accept(line_address, False):
-                self.block_reason = (
-                    "read_queue",
-                    self.memory.controller_for(line_address).channel_id,
-                )
-                return False
-        result = self.llc.access(line_address, is_write=False)
-        self.stats.loads += 1
-        if not result.hit:
-            self.stats.llc_load_misses += 1
-            request = self.memory.access(line_address, False, self.core_id, cycle)
-            if request is not None:
-                self.stats.dram_reads_issued += 1
-                self._pending_loads.append((self._executed_seq, request))
-                self._pending_requests[request.request_id] = self._executed_seq
-        self._queue_writeback(result.writeback_address)
-        self._retire(1)
-        self._current_entry = None
-        return True
-
-    def _queue_writeback(self, writeback_address: Optional[int]) -> None:
-        if writeback_address is None:
-            return
-        # The eviction is buffered and drained at the next opportunity;
-        # execution stalls if a second eviction arrives before then.
-        self._pending_writeback = writeback_address
 
     # -- cycle-skipping kernel support ---------------------------------------------
     def next_event_cycle(self, now: int) -> Optional[int]:
@@ -302,11 +291,13 @@ class Core:
         """
         if self._pending_writeback is not None:
             return 0
-        budget = self.config.insts_per_dram_cycle
         bound = self._gap_remaining
         if self._pending_loads:
-            bound = min(bound, self._window_headroom())
-        return bound // budget
+            headroom = self.config.instruction_window - (
+                self._executed_seq - self._pending_loads[0][0]
+            )
+            bound = min(bound, headroom)
+        return bound // self._budget
 
     def skip_gap_cycles(self, count: int) -> None:
         """Batch-replay ``count`` pure-gap ticks in closed form.
@@ -315,9 +306,10 @@ class Core:
         the current gap — the same arithmetic the per-cycle loop performs,
         just without the loop.
         """
-        instructions = count * self.config.insts_per_dram_cycle
+        instructions = count * self._budget
         self._gap_remaining -= instructions
-        self._retire(instructions)
+        self._executed_seq += instructions
+        self.stats.instructions += instructions
 
     def skip_stalled_cycles(self, count: int) -> None:
         """Account ``count`` skipped cycles during which this core stalled.

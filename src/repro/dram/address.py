@@ -9,7 +9,7 @@ patterns while spreading independent streams across banks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.config.dram_config import DRAMOrganization
 
@@ -20,9 +20,12 @@ def _log2(value: int, name: str) -> int:
     return value.bit_length() - 1
 
 
-@dataclass(frozen=True)
-class PhysicalLocation:
-    """Decoded DRAM coordinates of a physical address."""
+class PhysicalLocation(NamedTuple):
+    """Decoded DRAM coordinates of a physical address.
+
+    Immutable and cheap to build positionally: one is decoded per DRAM
+    request.
+    """
 
     channel: int
     rank: int
@@ -57,6 +60,13 @@ class AddressMapper:
         self._rank_shift = self._bank_shift + self._bank_bits
         self._row_shift = self._rank_shift + self._rank_bits
 
+        self._channel_mask = (1 << self._channel_bits) - 1
+        self._column_mask = (1 << self._column_bits) - 1
+        self._bank_mask = (1 << self._bank_bits) - 1
+        self._rank_mask = (1 << self._rank_bits) - 1
+        self._row_mask = (1 << self._row_bits) - 1
+        self._capacity_mask = self.capacity_bytes - 1
+
     @property
     def address_bits(self) -> int:
         """Number of meaningful address bits."""
@@ -70,17 +80,21 @@ class AddressMapper:
         """Decode a physical byte address into DRAM coordinates."""
         if address < 0:
             raise ValueError(f"address must be non-negative, got {address}")
-        address &= self.capacity_bytes - 1
-        channel = (address >> self._channel_shift) & (
-            (1 << self._channel_bits) - 1
-        )
-        column = (address >> self._column_shift) & ((1 << self._column_bits) - 1)
-        bank = (address >> self._bank_shift) & ((1 << self._bank_bits) - 1)
-        rank = (address >> self._rank_shift) & ((1 << self._rank_bits) - 1)
-        row = (address >> self._row_shift) & ((1 << self._row_bits) - 1)
-        return PhysicalLocation(
-            channel=channel, rank=rank, bank=bank, row=row, column=column
-        )
+        address &= self._capacity_mask
+        channel = (address >> self._channel_shift) & self._channel_mask
+        column = (address >> self._column_shift) & self._column_mask
+        bank = (address >> self._bank_shift) & self._bank_mask
+        rank = (address >> self._rank_shift) & self._rank_mask
+        row = (address >> self._row_shift) & self._row_mask
+        # PhysicalLocation's generated constructor is Python code; build
+        # the tuple directly instead, in field order.
+        return tuple.__new__(PhysicalLocation, (channel, rank, bank, row, column))
+
+    def channel_of(self, address: int) -> int:
+        """The channel :meth:`decode` would give ``address``, alone."""
+        if address < 0:
+            raise ValueError(f"address must be non-negative, got {address}")
+        return (address >> self._channel_shift) & self._channel_mask
 
     def encode(self, location: PhysicalLocation) -> int:
         """Encode DRAM coordinates back into a (line-aligned) byte address."""

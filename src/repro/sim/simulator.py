@@ -93,10 +93,11 @@ class Simulator:
         Short timed windows would otherwise start with a cold (and therefore
         eviction-free) cache, which both under-reports non-intensive hit
         rates and suppresses the dirty-writeback traffic that DARP's
-        write-refresh parallelization relies on.  The warmup streams trace
-        accesses through the cache model only — no DRAM cycles are
-        simulated — and uses a distinct trace instance so the timed run
-        still consumes the benchmark's trace from its beginning.
+        write-refresh parallelization relies on.  The warmup streams the
+        benchmark's ``warm_accesses`` (its trace's addresses and write
+        flags) through the cache model only — no DRAM cycles are
+        simulated — from its own seed, so the timed run still consumes the
+        benchmark's trace from its beginning.
 
         The warmed state is a pure function of the cache geometry, the
         benchmark, the warm seed, the access count and the address offset.
@@ -121,7 +122,7 @@ class Simulator:
             scratch = SetAssociativeCache(
                 cache.size_bytes, cache.associativity, cache.line_bytes
             )
-            scratch.fill(islice(benchmark.trace(seed=seed), accesses), residue)
+            scratch.fill(islice(benchmark.warm_accesses(seed), accesses), residue)
             return scratch.snapshot()
 
         key = (cache.fingerprint(), benchmark, seed, accesses, residue)

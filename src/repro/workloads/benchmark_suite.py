@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.workloads.generators import GENERATORS, LINE_BYTES
+from repro.workloads.generators import GENERATORS, LINE_BYTES, _draw_accesses
 from repro.workloads.trace import TraceEntry
 
 KB = 1024
@@ -63,6 +63,23 @@ class Benchmark:
     def trace(self, seed: int = 0) -> Iterator[TraceEntry]:
         """Instantiate the benchmark's (infinite, reproducible) trace."""
         options = {"seed": seed, "dependent_fraction": self.dependent_fraction}
+        if self.pattern == "strided":
+            options["stride_bytes"] = self.stride_bytes
+        return GENERATORS[self.pattern](
+            self.footprint_bytes, self.memory_fraction, self.write_fraction, **options
+        )
+
+    def warm_accesses(self, seed: int = 0) -> Iterator[tuple[int, bool]]:
+        """``(address, is_write)`` of every access :meth:`trace` yields.
+
+        The same draws in the same order as the trace of ``seed``, without
+        building entries: what a functional cache warmup consumes.
+        """
+        options = {
+            "seed": seed,
+            "dependent_fraction": self.dependent_fraction,
+            "draw": _draw_accesses,
+        }
         if self.pattern == "strided":
             options["stride_bytes"] = self.stride_bytes
         return GENERATORS[self.pattern](

@@ -24,6 +24,12 @@ one loop that draws every access's write, dependence and gap.  The loop
 and its address stream share one random generator, and the stream draws
 when the loop resumes it, so each access's draws come in the order
 address, write, dependence, gap.  That order is every trace's identity.
+
+:func:`_draw_accesses` is the same loop for a cache warmup, which needs
+only each access's address and write flag: it makes the very same draws
+in the same order but builds no entry and computes no gap.  Every
+generator takes the loop to use as ``draw``, so a warm stream and a
+trace of one seed come from one address stream.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import islice
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.workloads.trace import TraceEntry
 
@@ -78,6 +84,33 @@ def _draw_entries(
         yield new(TraceEntry, (gap, address, is_write, depends))
 
 
+def _draw_accesses(
+    rng: random.Random,
+    addresses: Iterator[int],
+    memory_fraction: float,
+    write_fraction: float,
+    dependent_fraction: float,
+) -> Iterator[tuple[int, bool]]:
+    """:func:`_draw_entries`'s draws, yielding only ``(address, is_write)``.
+
+    The dependence and gap draws are made (so the stream and every later
+    access see the same generator state) and their values dropped.
+    """
+    draw = rng.random
+    gaps = memory_fraction < 1.0
+    for address in addresses:
+        is_write = draw() < write_fraction
+        if not is_write:
+            draw()
+        if gaps:
+            draw()
+        yield address, is_write
+
+
+#: The loop a generator runs over its address stream.
+Draw = Callable[..., Iterator]
+
+
 def _streaming_addresses(
     rng: random.Random, footprint_bytes: int, run_length: int
 ) -> Iterator[int]:
@@ -95,6 +128,7 @@ def streaming_trace(
     seed: int = 0,
     run_length: int = 128,
     dependent_fraction: float = 0.05,
+    draw: Draw = _draw_entries,
 ) -> Iterator[TraceEntry]:
     """Sequential streams: long runs of consecutive cache lines.
 
@@ -105,7 +139,7 @@ def streaming_trace(
     if run_length < 1:
         raise ValueError("run_length must be at least one line")
     rng = random.Random(seed)
-    return _draw_entries(
+    return draw(
         rng,
         _streaming_addresses(rng, footprint_bytes, run_length),
         memory_fraction,
@@ -129,11 +163,12 @@ def strided_trace(
     stride_bytes: int = 256,
     seed: int = 0,
     dependent_fraction: float = 0.1,
+    draw: Draw = _draw_entries,
 ) -> Iterator[TraceEntry]:
     """Constant-stride sweeps over the footprint."""
     if stride_bytes < LINE_BYTES:
         raise ValueError("stride must be at least one cache line")
-    return _draw_entries(
+    return draw(
         random.Random(seed),
         _strided_addresses(footprint_bytes, stride_bytes),
         memory_fraction,
@@ -162,10 +197,11 @@ def random_trace(
     write_fraction: float,
     seed: int = 0,
     dependent_fraction: float = 0.7,
+    draw: Draw = _draw_entries,
 ) -> Iterator[TraceEntry]:
     """Uniformly random line accesses (GUPS / HPCC RandomAccess-like)."""
     rng = random.Random(seed)
-    return _draw_entries(
+    return draw(
         rng,
         _random_addresses(rng, footprint_bytes),
         memory_fraction,
@@ -194,6 +230,7 @@ def mixed_trace(
     burst_length: int = 64,
     streaming_share: float = 0.5,
     dependent_fraction: float = 0.4,
+    draw: Draw = _draw_entries,
 ) -> Iterator[TraceEntry]:
     """Alternating bursts of streaming and random accesses (TPC-like).
 
@@ -208,6 +245,7 @@ def mixed_trace(
             write_fraction,
             seed=seed + 1,
             dependent_fraction=dependent_fraction / 4,
+            draw=draw,
         ),
         random_trace(
             footprint_bytes,
@@ -215,6 +253,7 @@ def mixed_trace(
             write_fraction,
             seed=seed + 2,
             dependent_fraction=dependent_fraction,
+            draw=draw,
         ),
         burst_length,
         streaming_share,

@@ -1,6 +1,7 @@
 """Unit and property tests for the last-level cache."""
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,7 +150,7 @@ SPAN = SMALL.line_bytes * SMALL.num_sets
 
 def resident(llc: LastLevelCache) -> list:
     """Every set's ``(tag, dirty)`` items in LRU order."""
-    return [list(cache_set.items()) for cache_set in llc._cache._sets]
+    return [list(cache_set.items()) for cache_set in llc._sets]
 
 
 def random_accesses(count: int = 3000, seed: int = 3) -> list:
@@ -206,9 +207,10 @@ class TestSnapshotRestore:
         "name", ["hmmer_like", "calculix_like", "povray_like", "gcc_like"]
     )
     def test_fill_leaves_the_sets_access_leaves(self, name, residue):
-        entries = take(get_benchmark(name).trace(seed=7919), 5000)
+        benchmark = get_benchmark(name)
+        entries = take(benchmark.trace(seed=7919), 5000)
         filled = small_cache()
-        filled.fill(entries, residue)
+        filled.fill(islice(benchmark.warm_accesses(7919), 5000), residue)
         accessed = LastLevelCache(SMALL)
         for entry in entries:
             accessed.access(residue + entry.address, entry.is_write)
@@ -226,7 +228,7 @@ class TestSnapshotRestore:
         first.restore(snapshot)
         second.restore(snapshot)
         assert resident(first) == resident(second)
-        assert all(a is not b for a, b in zip(first._cache._sets, second._cache._sets))
+        assert all(a is not b for a, b in zip(first._sets, second._sets))
         before = resident(second)
         for address, is_write in random_accesses(500, seed=9):
             first.access(address, is_write)

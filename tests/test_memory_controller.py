@@ -1,5 +1,9 @@
 """Unit/integration tests for the channel controller and memory system."""
 
+import random
+from dataclasses import replace
+
+import pytest
 
 from repro.config.presets import paper_system
 from repro.controller.memory_controller import MemorySystem
@@ -152,3 +156,75 @@ class TestRefreshPolicyIntegration:
         drain(memory, 0, memory.device.timings.tREFIab + 500)
         stats = memory.refresh_policy_stats()
         assert stats["all_bank_issued"] >= 1
+
+
+def four_channel_memory() -> MemorySystem:
+    config = paper_system(mechanism="none")
+    organization = replace(config.dram.organization, channels=4)
+    return MemorySystem(
+        replace(config, dram=replace(config.dram, organization=organization))
+    )
+
+
+def fill_queue(memory: MemorySystem, channel: int, is_write: bool) -> None:
+    """Enqueue requests to ``channel`` until its queue refuses one."""
+    rng = random.Random(channel)
+    controller = memory.controllers[channel]
+    while controller.can_accept(is_write):
+        address = rng.randrange(memory.mapper.capacity_bytes)
+        if memory.mapper.channel_of(address) == channel:
+            assert memory.access(address, is_write, 0, 0) is not None
+
+
+@pytest.mark.parametrize(
+    "build", [make_memory, four_channel_memory], ids=["paper", "four_channel"]
+)
+class TestSingleDecode:
+    """``can_accept`` reads only the channel bits; ``access`` decodes once."""
+
+    def addresses(self, memory: MemorySystem) -> list[int]:
+        rng = random.Random(11)
+        capacity = memory.mapper.capacity_bytes
+        # Beyond the capacity too: decoding wraps, and so must channel_of.
+        return [rng.randrange(4 * capacity) for _ in range(2000)]
+
+    def test_channel_of_is_the_decoded_channel(self, build):
+        memory = build()
+        mapper = memory.mapper
+        assert len(memory.controllers) == mapper.organization.channels
+        seen = set()
+        for address in self.addresses(memory):
+            channel = mapper.channel_of(address)
+            assert channel == mapper.decode(address).channel
+            seen.add(channel)
+        assert seen == set(range(mapper.organization.channels))
+
+    def test_bank_key_is_the_decoded_rank_and_bank(self, build):
+        memory = build()
+        for address in self.addresses(memory)[:300]:
+            request = memory.access(address, address % 3 == 0, 0, 0)
+            if request is None:
+                continue
+            location = memory.mapper.decode(address)
+            assert request.location == location
+            assert request.bank_key == (location.rank, location.bank)
+
+    def test_can_accept_matches_the_owning_controller(self, build):
+        memory = build()
+        addresses = self.addresses(memory)
+
+        def check(expect_refusals: bool) -> None:
+            refused = 0
+            for address in addresses:
+                owner = memory.controllers[memory.mapper.decode(address).channel]
+                for is_write in (False, True):
+                    accepts = memory.can_accept(address, is_write)
+                    assert accepts == owner.can_accept(is_write)
+                    assert memory.controller_for(address) is owner
+                    refused += not accepts
+            assert bool(refused) == expect_refusals
+
+        check(expect_refusals=False)
+        fill_queue(memory, 0, is_write=False)
+        fill_queue(memory, len(memory.controllers) - 1, is_write=True)
+        check(expect_refusals=True)

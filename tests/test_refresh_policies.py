@@ -1,5 +1,6 @@
 """Unit tests for every refresh policy (the paper's core mechanisms)."""
 
+import pytest
 
 from repro.config.presets import paper_system
 from repro.config.refresh_config import RefreshMechanism
@@ -11,6 +12,8 @@ from repro.core.elastic import ElasticRefreshPolicy
 from repro.core.factory import create_refresh_policy
 from repro.core.no_refresh import NoRefreshPolicy
 from repro.core.per_bank import PerBankRefreshPolicy
+from repro.sim.simulator import Simulator
+from repro.workloads.mixes import make_workload_category
 
 
 def memory_for(mechanism: str, **kwargs) -> MemorySystem:
@@ -190,6 +193,37 @@ class TestDARPPolicy:
         run_cycles(memory, memory.device.timings.tREFIab * 2)
         # It still refreshes (like baseline per-bank refresh).
         assert memory.device.stats.per_bank_refreshes > 0
+
+    @pytest.mark.parametrize("mechanism", ["darp", "dsarp"])
+    def test_draw_tick_answer_is_whether_the_pools_are_empty(self, mechanism):
+        # wants_draw_ticks answers without rebuilding a stale pool cache;
+        # on every call of a real 8-core run it must still say exactly
+        # whether post_demand would draw.  The check rebuilds the pools
+        # aside and puts the cache back, so the run takes the same paths.
+        config = paper_system(density_gb=32, mechanism=mechanism, num_cores=8)
+        sim = Simulator(config, make_workload_category(100, index=0, num_cores=8))
+        answers = {True: 0, False: 0}
+        stale = 0
+        for controller in sim.memory.controllers:
+            policy = controller.refresh_policy
+            answer = policy.wants_draw_ticks
+
+            def checked(policy=policy, answer=answer):
+                nonlocal stale
+                cache = policy._pool_cache
+                stale += cache is None or cache[0] != (
+                    policy.controller.queues.idle_version
+                )
+                result = answer()
+                expected = bool(policy._post_demand_pools())
+                policy._pool_cache = cache
+                assert result == expected
+                answers[result] += 1
+                return result
+
+            policy.wants_draw_ticks = checked
+        sim.run(1500, warmup=300)
+        assert answers[True] and answers[False] and stale
 
 
 class TestAdaptivePolicy:

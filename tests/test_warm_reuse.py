@@ -60,7 +60,7 @@ def test_zero_warmup_accesses_leave_every_cache_cold():
     cold = Simulator(
         config, workload, functional_warmup_accesses=0, warm_states=holder
     )
-    assert all(core.llc._cache.occupancy() == 0 for core in cold.cores)
+    assert all(core.llc.occupancy() == 0 for core in cold.cores)
     assert (holder.hits, holder.misses) == (1, 1)
 
 

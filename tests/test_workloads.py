@@ -15,6 +15,8 @@ from repro.workloads.benchmark_suite import (
     non_intensive_benchmarks,
 )
 from repro.workloads.generators import (
+    GENERATORS,
+    _draw_accesses,
     mixed_trace,
     random_trace,
     streaming_trace,
@@ -276,6 +278,50 @@ class TestTraceIdentity:
     def test_trace_matches_its_pinned_digest(self, name, seed):
         expected = PINNED_TRACES[name][seed]
         assert trace_digest(get_benchmark(name), seed) == expected
+
+
+def trace_pairs(trace, count: int) -> list:
+    return [(entry.address, entry.is_write) for entry in islice(trace, count)]
+
+
+class TestWarmStream:
+    """``warm_accesses`` is the trace's ``(address, is_write)``, access by
+    access: the LLC warmup fills from it, so any drift in its draws would
+    silently change every warmed cache."""
+
+    @pytest.mark.parametrize("seed", [0, 7919])
+    @pytest.mark.parametrize("name", sorted(PINNED_TRACES))
+    def test_warm_stream_is_the_trace(self, name, seed):
+        benchmark = get_benchmark(name)
+        warm = list(islice(benchmark.warm_accesses(seed), 20000))
+        assert warm == trace_pairs(benchmark.trace(seed=seed), 20000)
+
+    @pytest.mark.parametrize("pattern", sorted(GENERATORS))
+    @pytest.mark.parametrize(
+        "memory_fraction, write_fraction",
+        [(1.0, 0.3), (0.05, 0.0), (0.05, 1.0), (1.0, 0.0), (1.0, 1.0)],
+    )
+    def test_edge_fractions(self, pattern, memory_fraction, write_fraction):
+        benchmark = Benchmark(
+            "edge",
+            pattern,
+            64 * 1024,
+            memory_fraction,
+            write_fraction,
+            False,
+            dependent_fraction=0.5,
+        )
+        warm = list(islice(benchmark.warm_accesses(5), 3000))
+        assert warm == trace_pairs(benchmark.trace(seed=5), 3000)
+        if write_fraction in (0.0, 1.0):
+            assert all(is_write == bool(write_fraction) for _, is_write in warm)
+
+    @pytest.mark.parametrize("burst_length", [1, 3])
+    def test_mixed_with_short_bursts(self, burst_length):
+        args = (256 * 1024, 0.1, 0.4)
+        options = {"seed": 9, "burst_length": burst_length, "streaming_share": 0.3}
+        warm = list(islice(mixed_trace(*args, **options, draw=_draw_accesses), 3000))
+        assert warm == trace_pairs(mixed_trace(*args, **options), 3000)
 
 
 class TestBenchmarkSuite:
