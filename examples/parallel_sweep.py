@@ -7,7 +7,7 @@ Demonstrates the experiment engine underneath the
   simulation jobs on several cores (results are identical to a serial
   run, only faster),
 * a :class:`~repro.engine.sqlite_store.SqliteStore` persists every result
-  keyed by job fingerprint, so re-running this script — or any other
+  keyed by job key, so re-running this script — or any other
   script, benchmark or ``python -m repro`` invocation pointed at the same
   store — performs zero new simulations.
 

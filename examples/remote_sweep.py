@@ -4,7 +4,7 @@ The multi-host engine promises that fanning a sweep out over ``repro
 worker`` processes changes *where* simulations run and nothing else:
 results stay bit-identical to a serial run, a SIGKILLed worker only
 degrades the run (its shards are reassigned to survivors), and the
-fingerprint-keyed store commits every completed result incrementally so
+job-keyed store commits every completed result incrementally so
 a follow-up run replays the batch with **zero** new simulations.
 
 This drill proves all three on one machine: a serve-only coordinator

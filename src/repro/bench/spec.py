@@ -123,11 +123,6 @@ def register(spec: BenchSpec) -> BenchSpec:
     return spec
 
 
-def clear_registry() -> None:
-    """Empty the registry (test isolation hook)."""
-    _REGISTRY.clear()
-
-
 def load_suite() -> None:
     """Ensure the standard suite's specs are registered."""
     import repro.bench.suite  # noqa: F401  (importing registers the suite)

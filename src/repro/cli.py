@@ -23,7 +23,7 @@ drives the performance-benchmark suite and its regression gate::
 
 ``--workers N`` fans simulations out over N worker processes (results are
 identical to a serial run).  ``--store PATH`` persists every simulation
-result to a SQLite store keyed by job fingerprint; a second invocation
+result to a SQLite store keyed by job key; a second invocation
 against the same store performs zero new simulations, which the run summary
 reports explicitly.  A file that is not such a store (a JSON-lines store
 from before SQLite was the only format, say) is refused with an
@@ -46,7 +46,7 @@ from typing import Optional, TextIO
 from repro.config.controller_config import PAGE_POLICIES, PAGE_POLICY_DESCRIPTIONS
 from repro.controller.policies import scheduler_descriptions, scheduler_names
 from repro.engine.executor import JobExecutor, ParallelExecutor, SerialExecutor
-from repro.engine.progress import ProgressPrinter
+from repro.engine.progress import SOURCE_SIMULATED, JobEvent, ProgressPrinter
 from repro.engine.sqlite_store import SqliteStore, copy_store
 from repro.sim.experiments import ExperimentScale
 from repro.sim.registry import EXPERIMENTS, builtin_specs
@@ -518,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "store",
         help="inspect, copy and compact result stores",
         description=(
-            "Maintain the fingerprint-keyed SQLite result stores behind "
+            "Maintain the SQLite result stores behind "
             "--store: 'stat' summarizes a store, 'copy' merges every "
             "result of one store into another, and 'compact' checkpoints "
             "the WAL and VACUUMs a store in place."
@@ -1047,11 +1047,23 @@ def _profile_command(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -
 
     experiment = EXPERIMENTS[args.experiment]
     runner = _build_runner(args, stderr)
-    obs_profile.enable()
+    profiler = obs_profile.enable()
+    printer = runner.progress
+
+    def record_job(event: JobEvent) -> None:
+        # Each simulated job's wall time: the aggregate engine.job span,
+        # and one per label so slow cells stand out in the table.
+        if event.source == SOURCE_SIMULATED:
+            profiler.add("engine.job", event.elapsed_s)
+            profiler.add(f"engine.job:{event.label}", event.elapsed_s)
+        if printer is not None:
+            printer(event)
+
+    runner.progress = record_job
     try:
         experiment.run(runner, _build_scale(args))
     finally:
-        profiler = obs_profile.disable()
+        obs_profile.disable()
     _write_run_summary(runner, args, stderr)
     if args.json:
         document = {

@@ -82,31 +82,6 @@ class ControllerConfig:
         """Whether the closed-row page policy is in force (compatibility)."""
         return self.page_policy == "closed"
 
-    def fingerprint(self) -> tuple:
-        """Hashable summary used by the experiment run-cache.
-
-        ``row_hit_cap`` only participates when the configured scheduler
-        actually reads it — otherwise configurations differing only in an
-        inert knob would simulate (and cache) separately despite being
-        bit-identical.
-        """
-        from repro.controller.policies import scheduler_class
-
-        row_hit_cap = (
-            self.row_hit_cap
-            if scheduler_class(self.scheduler).uses_row_hit_cap
-            else None
-        )
-        return (
-            self.read_queue_entries,
-            self.write_queue_entries,
-            self.write_high_watermark,
-            self.write_low_watermark,
-            self.scheduler,
-            self.page_policy,
-            row_hit_cap,
-        )
-
     def to_dict(self) -> dict:
         """JSON-compatible representation (see :meth:`from_dict`)."""
         from repro.config.serialize import to_plain

@@ -15,7 +15,6 @@ class CPUConfig:
     """
 
     num_cores: int = 8
-    frequency_ghz: float = 4.0
     issue_width: int = 3
     instruction_window: int = 128
     mshrs_per_core: int = 8
@@ -27,15 +26,6 @@ class CPUConfig:
         """Maximum instructions a core can retire per DRAM bus cycle."""
         return self.issue_width * self.cpu_cycles_per_dram_cycle
 
-    def fingerprint(self) -> tuple:
-        return (
-            self.num_cores,
-            self.issue_width,
-            self.instruction_window,
-            self.mshrs_per_core,
-            self.cpu_cycles_per_dram_cycle,
-        )
-
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -44,8 +34,6 @@ class CacheConfig:
     size_bytes: int = 512 * 1024
     associativity: int = 16
     line_bytes: int = 64
-    #: LLC hit latency in CPU cycles (absorbed into core progress).
-    hit_latency_cpu_cycles: int = 20
 
     @property
     def num_sets(self) -> int:
@@ -53,6 +41,3 @@ class CacheConfig:
         if sets <= 0:
             raise ValueError("cache too small for the requested associativity")
         return sets
-
-    def fingerprint(self) -> tuple:
-        return (self.size_bytes, self.associativity, self.line_bytes)

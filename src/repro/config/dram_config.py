@@ -84,10 +84,6 @@ class DRAMOrganization:
     def banks_per_channel(self) -> int:
         return self.ranks_per_channel * self.banks_per_rank
 
-    @property
-    def total_banks(self) -> int:
-        return self.channels * self.banks_per_channel
-
     def capacity_bytes(self) -> int:
         """Total addressable capacity of the DRAM system."""
         return (
@@ -244,23 +240,3 @@ class DRAMConfig:
         per_command = self.organization.rows_per_bank
         per_command //= REFRESH_COMMANDS_PER_RETENTION * self.fgr_mode
         return max(1, per_command)
-
-    def fingerprint(self) -> tuple:
-        """Hashable summary used by the experiment run-cache."""
-        org = self.organization
-        t = self.timings
-        return (
-            self.density_gb,
-            self.retention_ms,
-            self.fgr_mode,
-            org.channels,
-            org.ranks_per_channel,
-            org.banks_per_rank,
-            org.subarrays_per_bank,
-            org.rows_per_bank,
-            t.tRFCab,
-            t.tRFCpb,
-            t.tREFIab,
-            t.tFAW,
-            t.tRRD,
-        )

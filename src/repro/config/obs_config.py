@@ -4,10 +4,10 @@ Lives in the config package (not :mod:`repro.obs`) so that
 :class:`~repro.config.system.SystemConfig` can embed it without importing
 the observability machinery — config stays a leaf package.
 
-Like the ``kernel`` field, observability settings are excluded from
-:meth:`SystemConfig.fingerprint`: tracing, epoch sampling and profiling
-never change simulated behaviour, so a traced and an untraced run of the
-same system share cached results.
+Like the ``kernel`` field, observability settings are excluded from the
+job key (:meth:`repro.engine.jobs.SimulationJob.key`): tracing, epoch
+sampling and profiling never change simulated behaviour, so a traced and
+an untraced run of the same system share cached results.
 """
 
 from __future__ import annotations

@@ -112,16 +112,3 @@ class RefreshConfig:
         if isinstance(mechanism, str):
             mechanism = RefreshMechanism(mechanism)
         return cls(mechanism=mechanism, **kwargs)
-
-    def fingerprint(self) -> tuple:
-        return (
-            self.mechanism.value,
-            self.max_postpone,
-            self.max_pullin,
-            self.enable_out_of_order,
-            self.enable_write_refresh_parallelization,
-            self.steady_state_backlog,
-            self.elastic_history,
-            self.ar_pressure_threshold,
-            self.scheduler_seed,
-        )

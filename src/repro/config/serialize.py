@@ -13,18 +13,25 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import typing
+
+
+@functools.cache
+def _field_names(cls: type) -> typing.Optional[tuple[str, ...]]:
+    """Field names of a dataclass type, in declaration order; else None."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(field.name for field in dataclasses.fields(cls))
 
 
 def to_plain(value: object) -> object:
     """Recursively convert a config value to JSON-compatible primitives."""
     if isinstance(value, enum.Enum):
         return value.value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            field.name: to_plain(getattr(value, field.name))
-            for field in dataclasses.fields(value)
-        }
+    names = _field_names(type(value))
+    if names is not None:
+        return {name: to_plain(getattr(value, name)) for name in names}
     if isinstance(value, (list, tuple)):
         return [to_plain(item) for item in value]
     return value

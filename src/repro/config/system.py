@@ -18,6 +18,10 @@ class SystemConfig:
     A :class:`SystemConfig` fully determines a simulation apart from the
     workload: DRAM density and timings, memory controller parameters, core
     and cache parameters, and the refresh mechanism under evaluation.
+    Every field is part of a simulation's identity, the job key
+    (:meth:`repro.engine.jobs.SimulationJob.key`), apart from ``kernel``,
+    ``obs`` and an unread ``row_hit_cap``; so a new field needs no
+    identity code, and a field nothing reads must not be kept.
     """
 
     dram: DRAMConfig = field(default_factory=DRAMConfig)
@@ -28,11 +32,11 @@ class SystemConfig:
     #: Execution kernel: ``"event"`` advances time in one jump across
     #: provably idle spans (identical results, much faster), ``"cycle"``
     #: is the legacy tick-every-cycle loop kept as the differential
-    #: reference.  Excluded from :meth:`fingerprint` on purpose — the two
+    #: reference.  Excluded from the job key on purpose — the two
     #: kernels are bit-identical, so cached results are shared.
     kernel: str = "event"
     #: Observability settings (command tracing, epoch sampling).  Like
-    #: ``kernel``, excluded from :meth:`fingerprint`: observation never
+    #: ``kernel``, excluded from the job key: observation never
     #: changes simulated results, so traced and untraced runs of the same
     #: system share cached results.
     obs: ObsConfig = field(default_factory=ObsConfig)
@@ -97,24 +101,6 @@ class SystemConfig:
             fgr_mode=self.dram.fgr_mode,
         )
         return replace(self, dram=dram)
-
-    def fingerprint(self) -> tuple:
-        """Hashable summary of everything that affects simulation results.
-
-        The fingerprint is built exclusively from primitives (numbers,
-        strings, booleans) nested in tuples, so it is stable across
-        processes and interpreter runs — unlike ``hash()``, which is
-        salted per process.  The experiment engine relies on this to key
-        its persistent result stores (see
-        :func:`repro.engine.jobs.fingerprint_digest`).
-        """
-        return (
-            self.dram.fingerprint(),
-            self.controller.fingerprint(),
-            self.cpu.fingerprint(),
-            self.cache.fingerprint(),
-            self.refresh.fingerprint(),
-        )
 
     def to_dict(self) -> dict:
         """JSON-compatible representation of the full configuration tree.

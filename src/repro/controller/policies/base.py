@@ -48,7 +48,7 @@ class SchedulerPolicy(abc.ABC):
     name: ClassVar[str] = ""
 
     #: Whether this policy reads ``ControllerConfig.row_hit_cap``.  The
-    #: config fingerprint omits the knob for policies that ignore it, so
+    #: job key omits the knob for policies that ignore it, so
     #: sweeping a ``row_hit_cap`` axis under e.g. plain FR-FCFS does not
     #: re-simulate (and separately cache) bit-identical configurations.
     uses_row_hit_cap: ClassVar[bool] = False

@@ -101,21 +101,10 @@ class RequestQueues:
         """Pending demand (read + write) requests for one bank."""
         return self.demand_counts[bank_key]
 
-    def read_count_for(self, bank_key: tuple[int, int]) -> int:
-        return len(self.reads[bank_key])
-
-    def write_count_for(self, bank_key: tuple[int, int]) -> int:
-        return len(self.writes[bank_key])
-
     def rank_demand_count(self, rank: int) -> int:
         """Pending demand requests targeting any bank of ``rank``."""
         return sum(
             self.demand_count(key) for key in self.bank_keys if key[0] == rank
-        )
-
-    def rank_read_count(self, rank: int) -> int:
-        return sum(
-            len(self.reads[key]) for key in self.bank_keys if key[0] == rank
         )
 
     def idle_banks(self, rank: Optional[int] = None) -> list[tuple[int, int]]:

@@ -64,9 +64,6 @@ class AdaptiveRefreshPolicy(RefreshPolicy):
             return 4
         return 1
 
-    def current_mode(self, rank: int) -> int:
-        return self._mode[rank]
-
     # -- schedule bookkeeping --------------------------------------------------------
     def _accumulate_due(self, cycle: int) -> None:
         interval = self.timings.tREFIab

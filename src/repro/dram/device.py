@@ -55,10 +55,6 @@ class DeviceStats(StatsStruct):
     #: Accesses that found their target subarray under refresh (SARP metric).
     subarray_conflicts: int = 0
 
-    @property
-    def column_commands(self) -> int:
-        return self.reads + self.writes
-
 
 class DRAMDevice:
     """Cycle-level DRAM device honoring DDR3 timing constraints."""

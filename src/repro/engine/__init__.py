@@ -4,8 +4,9 @@ The engine decouples *what* to simulate from *how* the simulations are
 executed and *where* their results live:
 
 * :mod:`repro.engine.jobs` — :class:`SimulationJob`, a picklable spec that
-  captures one simulation by fingerprint (config, workload, cycles, warmup,
-  seed),
+  captures one simulation (config, workload, cycles, warmup, seed) and
+  whose :meth:`~SimulationJob.key` — the sha256 of that plain form — is the
+  one identity every memo, store, wire check and trace name uses,
 * :mod:`repro.engine.executor` — :class:`SerialExecutor` and
   :class:`ParallelExecutor`, which run job batches deterministically (the
   parallel fan-out produces results identical to serial execution for any
@@ -18,7 +19,7 @@ executed and *where* their results live:
 * :mod:`repro.engine.store` and :mod:`repro.engine.sqlite_store` — the
   :class:`ResultStore` interface, the in-process :class:`InMemoryStore`
   and the one persistent store, the WAL-mode concurrent-safe
-  :class:`SqliteStore`, all keyed by job fingerprint, so results persist
+  :class:`SqliteStore`, all keyed by job key, so results persist
   across processes, benchmarks and CI runs and a killed run resumes from
   the store with zero re-simulation,
 * :mod:`repro.engine.remote` — multi-host fan-out: a TCP shard-dispatch

@@ -3,7 +3,7 @@
 Executors take a batch of :class:`~repro.engine.jobs.SimulationJob` specs
 and return their results *in batch order*.  Both executors consult an
 optional :class:`~repro.engine.store.ResultStore` before simulating and
-write every fresh result back, and both deduplicate repeated fingerprints
+write every fresh result back, and both deduplicate repeated job keys
 inside a batch, so a job is never simulated twice.
 
 Because each simulation is a pure function of its job spec (the simulator
@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-import repro.obs.profile as obs_profile
 from repro.cache.warm import WarmStates
 from repro.engine.jobs import SimulationJob, execute_job
 from repro.engine.progress import (
@@ -199,7 +198,6 @@ class SerialExecutor(JobExecutor):
             job_start = perf_counter()
             result = execute_job(job, self.warm_states)
             elapsed_s = perf_counter() - job_start
-            _record_job_span(job, elapsed_s)
             results.append(result)
             if store is not None:
                 store.put(job.key(), result)
@@ -215,19 +213,6 @@ class SerialExecutor(JobExecutor):
                     )
                 )
         return results
-
-
-def _record_job_span(job: SimulationJob, elapsed_s: float) -> None:
-    """Feed one job's wall time to the active span profiler, if any.
-
-    Emitted beside the existing progress events: the aggregate
-    ``engine.job`` span measures total simulation time, and the per-job
-    label makes slow cells stand out in the ``repro profile`` table.
-    """
-    profiler = obs_profile.ACTIVE
-    if profiler is not None:
-        profiler.add("engine.job", elapsed_s)
-        profiler.add(f"engine.job:{job.describe()}", elapsed_s)
 
 
 class ParallelExecutor(JobExecutor):
@@ -337,7 +322,6 @@ class ParallelExecutor(JobExecutor):
 
         def on_result(slot, result, elapsed_s, attempts):
             job = jobs[slot]
-            _record_job_span(job, elapsed_s)
             self.cost_model.observe(job, elapsed_s)
             if store is not None:
                 store.put(job.key(), result)

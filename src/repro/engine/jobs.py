@@ -4,9 +4,10 @@ A :class:`SimulationJob` captures everything that determines one simulation
 outcome — the system configuration, the workload, the measured window and
 the seed — as a picklable value object.  Jobs travel across process
 boundaries (the :class:`~repro.engine.executor.ParallelExecutor` ships them
-to worker processes) and their :meth:`~SimulationJob.key` is the stable
-identity under which results are cached in a
-:class:`~repro.engine.store.ResultStore`.
+to worker processes) and their :meth:`~SimulationJob.key` is the one
+identity under which results are memoized, stored in a
+:class:`~repro.engine.store.ResultStore`, checked on the remote wire and
+named on disk.
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
+from repro.config.serialize import to_plain
 from repro.config.system import SystemConfig
+from repro.controller.policies import scheduler_class
 from repro.obs.log import get_logger
 from repro.workloads.mixes import Workload
 
@@ -27,21 +31,9 @@ if TYPE_CHECKING:  # avoid repro.sim <-> repro.engine import cycle
 log = get_logger(__name__)
 
 
-def fingerprint_digest(fingerprint: object) -> str:
-    """Stable hex digest of a (nested) fingerprint tuple.
-
-    Fingerprints are nested tuples of primitives; encoding them as
-    canonical JSON (tuples become lists, keys sorted) gives a digest that
-    is stable across processes and interpreter runs — unlike ``hash()``,
-    which is randomized per process for strings.
-    """
-    encoded = json.dumps(fingerprint, sort_keys=True, default=str)
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
-
-
 @dataclass(frozen=True)
 class SimulationJob:
-    """One simulation to perform, identified by its fingerprint."""
+    """One simulation to perform, identified by its :meth:`key`."""
 
     config: SystemConfig
     workload: Workload
@@ -66,19 +58,38 @@ class SimulationJob:
             ):
                 raise ValueError(f"{name} must be {kind}, got {value!r}")
 
-    def fingerprint(self) -> tuple:
-        """Hashable identity: everything that affects the result."""
-        return (
-            self.config.fingerprint(),
-            self.workload.fingerprint(),
-            self.cycles,
-            self.warmup,
-            self.seed,
-        )
+    def to_dict(self) -> dict:
+        """JSON form of the job: the full configuration, the workload with
+        every benchmark's parameters, the window and the seed."""
+        return {
+            "config": self.config.to_dict(),
+            "workload": to_plain(self.workload),
+            "cycles": self.cycles,
+            "warmup": self.warmup,
+            "seed": self.seed,
+        }
 
     def key(self) -> str:
-        """Stable string identity used by persistent result stores."""
-        return fingerprint_digest(self.fingerprint())
+        """The job's identity: sha256 of the canonical JSON of :meth:`to_dict`.
+
+        Every field that can change a result is in it, so no field list has
+        to be kept in step with the config.  Three fields are left out
+        because they never change one: the execution ``kernel`` (the two
+        are bit-identical), the observability settings ``obs``, and
+        ``row_hit_cap`` under a scheduler that does not read it.  Derived
+        once per job and kept.
+        """
+        return self._key
+
+    @cached_property
+    def _key(self) -> str:
+        plain = self.to_dict()
+        config = plain["config"]
+        del config["kernel"], config["obs"]
+        if not scheduler_class(self.config.controller.scheduler).uses_row_hit_cap:
+            del config["controller"]["row_hit_cap"]
+        encoded = json.dumps(plain, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
     def describe(self) -> str:
         """Short human-readable label for progress reporting."""

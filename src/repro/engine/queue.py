@@ -8,7 +8,7 @@ dispatcher:
 
 * :func:`plan_shards` chunks a job batch into more shards than workers,
   balanced by each job's *estimated cost* (simulated cycles x cores from
-  the fingerprinted config), so the queue drains evenly even when cell
+  the job's config), so the queue drains evenly even when cell
   costs vary by an order of magnitude.
 * Worker processes pull shards dynamically: every shard has a *preferred*
   worker (round-robin over the cost-sorted plan), and an idle worker
@@ -81,7 +81,7 @@ def estimate_cost(job) -> float:
     """Relative wall-clock estimate for one job, for shard balancing.
 
     Delegates to :meth:`~repro.engine.jobs.SimulationJob.estimated_cost`
-    (simulated cycles x cores, from the fingerprinted config); jobs
+    (simulated cycles x cores, from the job's config); jobs
     without the method (test doubles) cost a flat 1.0 so planning still
     works.
     """
@@ -101,7 +101,7 @@ class CostModel:
     The static :func:`estimate_cost` (cycles x cores) ranks jobs but
     knows nothing about how mechanisms actually differ in work per
     cycle.  This model records each finished job's measured seconds into
-    an EWMA table keyed by the fingerprint fields that determine runtime
+    an EWMA table keyed by the job fields that determine runtime
     — (mechanism, cores, density, window length) — and feeds the
     calibrated figure back into :func:`plan_shards`, so repeat sweeps
     balance on measured cost.  Keys never observed fall back to the
@@ -769,8 +769,3 @@ class ShardDispatcher:
         if failed:
             raise JobFailedError(failed)
         return results
-
-
-def default_workers() -> int:
-    """Worker count when none is requested: every available core."""
-    return os.cpu_count() or 1

@@ -9,7 +9,7 @@ local simulation processes and pull cost-balanced shards from the very
 same :func:`~repro.engine.queue.plan_shards` plan the in-process
 dispatcher uses.  Results flow back as
 :class:`~repro.sim.results.SimulationResult` dicts and are committed
-through the coordinator's fingerprint-keyed store, so ``--resume`` and
+through the coordinator's store, keyed by job key, so ``--resume`` and
 warm-cache semantics are unchanged across hosts and the merged output is
 bit-identical to a serial run.
 
@@ -70,7 +70,7 @@ from multiprocessing.connection import wait as connection_wait
 from time import monotonic
 from typing import Optional
 
-from repro.config.serialize import from_plain, to_plain
+from repro.config.serialize import from_plain
 from repro.config.system import SystemConfig
 from repro.engine.jobs import SimulationJob
 from repro.engine.queue import (
@@ -234,20 +234,15 @@ def parse_hostport(text: str) -> tuple[str, int]:
 
 
 def encode_job(job: SimulationJob) -> dict:
-    """JSON form of one job.
+    """JSON form of one job: :meth:`SimulationJob.to_dict` plus its key.
 
     The workload carries every benchmark's full parameters rather than
     suite names, so custom benchmarks travel too; ``key`` lets the worker
     check the job it rebuilds against the coordinator's identity.
     """
-    return {
-        "config": job.config.to_dict(),
-        "workload": to_plain(job.workload),
-        "cycles": job.cycles,
-        "warmup": job.warmup,
-        "seed": job.seed,
-        "key": job.key(),
-    }
+    payload = job.to_dict()
+    payload["key"] = job.key()
+    return payload
 
 
 def decode_job(payload: dict) -> SimulationJob:

@@ -1,9 +1,9 @@
 """SQLite-backed result store: WAL mode, concurrent-safe, resumable.
 
 The :class:`SqliteStore` keeps every simulation result in one SQLite
-database keyed by the job's fingerprint digest.  It is the repo's one
-persistent store: every ``--store PATH`` and every ``repro store``
-command opens it.
+database keyed by :meth:`repro.engine.jobs.SimulationJob.key`.  It is
+the repo's one persistent store: every ``--store PATH`` and every
+``repro store`` command opens it.
 
 Why SQLite:
 
@@ -67,7 +67,7 @@ def _connect(path: Path) -> sqlite3.Connection:
 
 
 class SqliteStore(ResultStore):
-    """A WAL-mode SQLite result store keyed by fingerprint digest."""
+    """A WAL-mode SQLite result store keyed by job key."""
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
@@ -160,7 +160,7 @@ class SqliteStore(ResultStore):
 def copy_store(source: ResultStore, destination: ResultStore) -> int:
     """Copy every keyed result from one store into another.
 
-    Every store is keyed by the same fingerprint digests, so this merges
+    Every store is keyed by the same job keys, so this merges
     one cache into another without a single re-simulation; returns the
     number of results copied.
     """

@@ -1,7 +1,8 @@
-"""Result stores keyed by job fingerprint.
+"""Result stores keyed by job key.
 
-A :class:`ResultStore` maps the stable string key of a
-:class:`~repro.engine.jobs.SimulationJob` to its
+A :class:`ResultStore` maps the key of a
+:class:`~repro.engine.jobs.SimulationJob` (the sha256 of the job's plain
+JSON form, see :meth:`~repro.engine.jobs.SimulationJob.key`) to its
 :class:`~repro.sim.results.SimulationResult`.  This module holds the
 interface and :class:`InMemoryStore`, a plain dict that shares results
 inside one process (and is the tests' fake).  The one persistent store,

@@ -4,7 +4,7 @@ Three generators, all wired through ``repro report``:
 
 * :mod:`repro.report.paper` — regenerate every Table 2-6 / Figure 5-16
   artifact (markdown, LaTeX, SVG, canonical JSON) from the
-  fingerprint-keyed result store, crosschecked against the pinned golden
+  job-keyed result store, crosschecked against the pinned golden
   fixtures;
 * :mod:`repro.report.trend` — per-benchmark wall-clock and fidelity
   trajectories over the committed ``benchmarks/history/`` snapshots,

@@ -8,7 +8,7 @@ table/figure, the sweep spec and aggregate that produce its payload, the
 :mod:`repro.analysis` tabulation that models it, and the chart extraction
 for the SVG plot.  :func:`generate_paper_report` runs the experiments
 through a shared (optionally store-backed)
-:class:`~repro.sim.runner.ExperimentRunner`, so a **warm fingerprint-keyed
+:class:`~repro.sim.runner.ExperimentRunner`, so a **warm job-keyed
 result store regenerates every artifact with zero simulations** — the
 engine summary embedded in the report index proves it.
 

@@ -81,10 +81,6 @@ class SimulationResult:
         return self.device_stats.get("reads", 0)
 
     @property
-    def writes_serviced(self) -> int:
-        return self.device_stats.get("writes", 0)
-
-    @property
     def energy_per_access_nj(self) -> float:
         return self.energy.get("energy_per_access_nj", 0.0)
 

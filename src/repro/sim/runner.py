@@ -3,8 +3,8 @@
 Reproducing the paper's figures requires many simulations sharing common
 pieces (the REFab baseline, the alone-run IPCs of each benchmark, ...).
 The :class:`ExperimentRunner` memoizes every simulation it performs, keyed
-by the configuration and workload fingerprints, so the figure- and
-table-level experiments can be composed without repeating work.
+by its job's :meth:`~repro.engine.jobs.SimulationJob.key`, so the figure-
+and table-level experiments can be composed without repeating work.
 
 Execution is delegated to the :mod:`repro.engine` subsystem: the runner
 *plans* batches of :class:`~repro.engine.jobs.SimulationJob` specs and
@@ -80,19 +80,18 @@ class ExperimentRunner:
         applied to every configuration this runner simulates.  The two
         kernels produce bit-identical results (enforced by the
         differential suite in ``tests/test_kernel_equivalence.py``), so
-        the kernel is not part of the result fingerprint and cached
-        results are shared across kernels.
+        the kernel is not part of the job key and cached results are
+        shared across kernels.
     scheduler, page_policy:
         Optional controller-policy overrides applied to every configuration
         this runner simulates (including the alone runs), mirroring the
         ``--scheduler`` / ``--page-policy`` CLI flags.  Unlike the kernel,
-        these *do* change results, so they are part of every fingerprint
-        through :meth:`ControllerConfig.fingerprint`.
+        these *do* change results, so they are part of every job key.
     obs:
         Optional :class:`~repro.config.obs_config.ObsConfig` applied to
         every configuration this runner simulates (the ``--trace`` /
         ``--epoch-interval`` CLI flags).  Like the kernel, observability
-        never changes results and is excluded from fingerprints — but
+        never changes results and is excluded from job keys — but
         note the flip side: a job resolved from a store or memory cache
         skips simulation entirely and therefore writes no trace.
     """
@@ -131,16 +130,19 @@ class ExperimentRunner:
         self.page_policy = page_policy
         self.obs = obs
         self.memory_hits = 0
-        self._simulation_cache: dict[tuple, SimulationResult] = {}
-        self._alone_ipc_cache: dict[tuple, float] = {}
+        #: (config, workload, window) -> the job planned for it, so each
+        #: pair's overrides are applied and its key derived once.
+        self._jobs: dict[tuple, SimulationJob] = {}
+        #: Job key -> result.
+        self._simulation_cache: dict[str, SimulationResult] = {}
 
     # -- job planning ------------------------------------------------------------
     def _effective_config(self, config: SystemConfig) -> SystemConfig:
         """Apply this runner's kernel/policy overrides to a configuration.
 
-        Every code path that fingerprints or simulates a configuration
-        must go through this, so cache lookups and the jobs that populate
-        the cache always agree on the (post-override) identity.
+        Every job goes through this (see :meth:`_job`), so cache lookups
+        and the jobs that populate the cache always agree on the
+        (post-override) identity.
         """
         if self.kernel is not None and config.kernel != self.kernel:
             config = config.with_kernel(self.kernel)
@@ -156,26 +158,22 @@ class ExperimentRunner:
         return config
 
     def _job(self, config: SystemConfig, workload: Workload) -> SimulationJob:
-        return SimulationJob(
-            config=self._effective_config(config),
-            workload=workload,
-            cycles=self.cycles,
-            warmup=self.warmup,
-            seed=self.seed,
-        )
-
-    def _fingerprint(self, config: SystemConfig, workload: Workload) -> tuple:
-        return (
-            self._effective_config(config).fingerprint(),
-            workload.fingerprint(),
-            self.cycles,
-            self.warmup,
-            self.seed,
-        )
+        """The job this runner plans for a pair, built once per pair."""
+        memo = (config, workload, self.cycles, self.warmup, self.seed)
+        job = self._jobs.get(memo)
+        if job is None:
+            job = self._jobs[memo] = SimulationJob(
+                config=self._effective_config(config),
+                workload=workload,
+                cycles=self.cycles,
+                warmup=self.warmup,
+                seed=self.seed,
+            )
+        return job
 
     def _result_for(self, config: SystemConfig, workload: Workload) -> SimulationResult:
         """Cached result if present, without touching the hit counters."""
-        cached = self._simulation_cache.get(self._fingerprint(config, workload))
+        cached = self._simulation_cache.get(self._job(config, workload).key())
         if cached is not None:
             return cached
         return self.simulate(config, workload)
@@ -196,15 +194,12 @@ class ExperimentRunner:
         """
         pairs = list(pairs)
         jobs = [self._job(config, workload) for config, workload in pairs]
-        fingerprints = [job.fingerprint() for job in jobs]
+        keys = [job.key() for job in jobs]
         missing: list[SimulationJob] = []
-        missing_fingerprints: set[tuple] = set()
+        missing_keys: set[str] = set()
         missing_positions: list[int] = []
-        for index, (job, fingerprint) in enumerate(zip(jobs, fingerprints)):
-            if (
-                fingerprint in self._simulation_cache
-                or fingerprint in missing_fingerprints
-            ):
+        for index, (job, key) in enumerate(zip(jobs, keys)):
+            if key in self._simulation_cache or key in missing_keys:
                 # Either already known, or a duplicate within this batch
                 # that the first occurrence will resolve — no new work.
                 self.memory_hits += 1
@@ -213,14 +208,14 @@ class ExperimentRunner:
                         JobEvent(
                             index=index,
                             total=len(jobs),
-                            key=job.key(),
+                            key=key,
                             label=job.describe(),
                             source=SOURCE_MEMORY,
                         )
                     )
             else:
                 missing.append(job)
-                missing_fingerprints.add(fingerprint)
+                missing_keys.add(key)
                 missing_positions.append(index)
         if missing:
             log.debug(
@@ -246,8 +241,8 @@ class ExperimentRunner:
 
             results = self.executor.run(missing, store=self.store, progress=forward)
             for job, result in zip(missing, results):
-                self._simulation_cache[job.fingerprint()] = result
-        return [self._simulation_cache[fingerprint] for fingerprint in fingerprints]
+                self._simulation_cache[job.key()] = result
+        return [self._simulation_cache[key] for key in keys]
 
     # -- alone runs for weighted speedup ---------------------------------------------
     def _alone_config(self, config: SystemConfig) -> SystemConfig:
@@ -269,22 +264,18 @@ class ExperimentRunner:
         changes unused refresh timings, and pinning it lets the alone runs
         be shared across density sweeps.
         """
-        alone_config = self._alone_config(config)
-        key = (
-            benchmark.name,
-            alone_config.fingerprint(),
-            self.cycles,
-            self.warmup,
-            self.seed,
-        )
-        if key not in self._alone_ipc_cache:
-            result = self._result_for(alone_config, self._alone_workload(benchmark))
-            ipc = result.cores[0].ipc
-            self._alone_ipc_cache[key] = max(ipc, 1e-6)
-        return self._alone_ipc_cache[key]
+        return self._alone_ipc(benchmark, self._alone_config(config))
+
+    def _alone_ipc(self, benchmark: Benchmark, alone_config: SystemConfig) -> float:
+        result = self._result_for(alone_config, self._alone_workload(benchmark))
+        return max(result.cores[0].ipc, 1e-6)
 
     def alone_ipcs(self, workload: Workload, config: SystemConfig) -> list[float]:
-        return [self.alone_ipc(benchmark, config) for benchmark in workload.benchmarks]
+        alone_config = self._alone_config(config)
+        return [
+            self._alone_ipc(benchmark, alone_config)
+            for benchmark in workload.benchmarks
+        ]
 
     # -- workload-level experiments --------------------------------------------------
     def run_workload(self, workload: Workload, config: SystemConfig) -> WorkloadResult:
@@ -304,14 +295,15 @@ class ExperimentRunner:
         plan: list[tuple[SystemConfig, Workload]] = [
             (config, workload) for workload, config in pairs
         ]
-        planned_alone: set[tuple] = set()
+        planned_alone: set[str] = set()
         for workload, config in pairs:
             alone_config = self._alone_config(config)
             for benchmark in workload.benchmarks:
-                alone_key = (benchmark.name, alone_config.fingerprint())
+                alone_workload = self._alone_workload(benchmark)
+                alone_key = self._job(alone_config, alone_workload).key()
                 if alone_key not in planned_alone:
                     planned_alone.add(alone_key)
-                    plan.append((alone_config, self._alone_workload(benchmark)))
+                    plan.append((alone_config, alone_workload))
         log.debug(
             "run_many: %d workload runs + %d alone runs planned",
             len(pairs),

@@ -125,7 +125,7 @@ class Simulator:
             scratch.fill(islice(benchmark.warm_accesses(seed), accesses), residue)
             return scratch.snapshot()
 
-        key = (cache.fingerprint(), benchmark, seed, accesses, residue)
+        key = (cache, benchmark, seed, accesses, residue)
         llc.restore(self.warm_states.fetch(key, warm), tag_base)
 
     # -- execution -------------------------------------------------------------

@@ -107,9 +107,6 @@ class StatsSchema:
         self._derived_names = {ratio.name for ratio in self.derived}
 
     # -- introspection -----------------------------------------------------
-    def field_names(self) -> tuple[str, ...]:
-        return tuple(field.name for field in self.fields)
-
     def derived_names(self) -> tuple[str, ...]:
         return tuple(ratio.name for ratio in self.derived)
 

@@ -186,11 +186,6 @@ class SweepResult:
             for cell in self.cells
         }
 
-    def cells_at(self, point: dict) -> list[SweepCell]:
-        """Every cell measured at one design point, in plan order."""
-        key = point_key(point)
-        return [cell for cell in self.cells if point_key(cell.point) == key]
-
 
 def plan_sweep(
     spec: SweepSpec,

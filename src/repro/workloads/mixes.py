@@ -40,14 +40,6 @@ class Workload:
     def num_cores(self) -> int:
         return len(self.benchmarks)
 
-    def fingerprint(self) -> tuple:
-        """Hashable identity used by the experiment run-cache.
-
-        Built from primitives only, so it is stable across processes (the
-        parallel experiment engine keys its persistent stores on it).
-        """
-        return (self.name, tuple(b.name for b in self.benchmarks), self.seed)
-
     def to_dict(self) -> dict:
         """JSON-compatible spec; benchmarks are referenced by suite name."""
         return {

@@ -45,6 +45,21 @@ def small_workload(names=("stream_copy", "random_access"), seed: int = 0):
     return make_workload([get_benchmark(name) for name in names], seed=seed)
 
 
+def job_key(config=None, workload=None, cycles: int = 100, warmup: int = 0,
+            seed: int = 0) -> str:
+    """The job key of a (config, workload) pair in a fixed small window;
+    either one defaults to the paper's system / :func:`small_workload`."""
+    from repro.engine.jobs import SimulationJob
+
+    return SimulationJob(
+        config=config if config is not None else paper_system(),
+        workload=workload if workload is not None else small_workload(),
+        cycles=cycles,
+        warmup=warmup,
+        seed=seed,
+    ).key()
+
+
 def quick_run(mechanism: str = "refab", cycles: int = 6000, warmup: int = 1000,
               density_gb: int = 32, names=("stream_copy", "random_access"), **kwargs):
     """Run a small simulation and return its result."""

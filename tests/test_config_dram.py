@@ -11,6 +11,9 @@ from repro.config.dram_config import (
     DRAMTimings,
     projected_trfc_ns,
 )
+from repro.config.system import SystemConfig
+
+from tests.conftest import job_key
 
 
 class TestProjections:
@@ -156,9 +159,12 @@ class TestDRAMConfig:
         assert config.timings.tRRD == 2
 
     def test_fingerprint_distinguishes_configs(self):
+        def key(dram):
+            return job_key(SystemConfig(dram=dram))
+
         a = DRAMConfig.for_density(8)
         b = DRAMConfig.for_density(16)
         c = DRAMConfig.for_density(8).with_subarrays(16)
-        assert a.fingerprint() != b.fingerprint()
-        assert a.fingerprint() != c.fingerprint()
-        assert a.fingerprint() == DRAMConfig.for_density(8).fingerprint()
+        assert key(a) != key(b)
+        assert key(a) != key(c)
+        assert key(a) == key(DRAMConfig.for_density(8))

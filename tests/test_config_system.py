@@ -7,6 +7,8 @@ from repro.config.cpu_config import CacheConfig, CPUConfig
 from repro.config.presets import baseline_densities, mechanism_names, paper_system
 from repro.config.refresh_config import RefreshConfig, RefreshMechanism
 
+from tests.conftest import job_key
+
 
 class TestControllerConfig:
     def test_defaults_match_table1(self):
@@ -116,10 +118,10 @@ class TestSystemConfig:
 
     def test_fingerprint_sensitivity(self):
         a = paper_system(density_gb=8)
-        assert a.fingerprint() == paper_system(density_gb=8).fingerprint()
-        assert a.fingerprint() != a.with_mechanism("dsarp").fingerprint()
-        assert a.fingerprint() != a.with_cores(2).fingerprint()
-        assert a.fingerprint() != a.with_density(16).fingerprint()
+        assert job_key(a) == job_key(paper_system(density_gb=8))
+        assert job_key(a) != job_key(a.with_mechanism("dsarp"))
+        assert job_key(a) != job_key(a.with_cores(2))
+        assert job_key(a) != job_key(a.with_density(16))
 
 
 class TestPresets:

@@ -1,5 +1,6 @@
 """Tests for the engine result stores and result serialization."""
 
+import dataclasses
 import json
 import multiprocessing
 import pickle
@@ -8,13 +9,18 @@ import sqlite3
 
 import pytest
 
-from repro.engine.jobs import SimulationJob, execute_job, fingerprint_digest
+from repro.config.obs_config import ObsConfig
+from repro.config.refresh_config import RefreshMechanism
+from repro.config.system import SystemConfig
+from repro.controller.policies import scheduler_names
+from repro.engine.jobs import SimulationJob, execute_job
 from repro.engine.sqlite_store import SqliteStore, copy_store
 from repro.engine.store import InMemoryStore, ResultStore
 from repro.sim.results import SimulationResult
+from repro.workloads.generators import GENERATORS
 from repro.workloads.mixes import Workload, make_workload_category
 
-from tests.conftest import quick_run, small_system, small_workload
+from tests.conftest import job_key, quick_run, small_system, small_workload
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +51,7 @@ class TestSerialization:
         workload = make_workload_category(50, index=1, num_cores=4)
         rebuilt = Workload.from_dict(json.loads(json.dumps(workload.to_dict())))
         assert rebuilt == workload
-        assert rebuilt.fingerprint() == workload.fingerprint()
+        assert job_key(workload=rebuilt) == job_key(workload=workload)
 
 
 class TestJobs:
@@ -88,12 +94,98 @@ class TestJobs:
         assert (job.warmup, job.seed) == (0, -1)
 
     def test_digest_is_stable_across_processes(self):
-        # sha256 of canonical JSON must not depend on interpreter hash
-        # randomization; pin one value so accidental format changes that
-        # would orphan every persisted store are caught.
-        assert fingerprint_digest(("a", 1, (2, True))) == (
-            "270979ccc8c0fa59c6c1a3e7b9710e15ff7b731418e0bad28f7a5ac6c2da7a27"
+        # The key is sha256 of canonical JSON, so it must not depend on
+        # interpreter hash randomization; pin one small job's key so an
+        # accidental change to the identity, which would orphan every
+        # persisted store, fails loudly.
+        assert make_job().key() == (
+            "3ddfd80dd346eb86868fe7a841f91db6818ffa32d68a6d90622dfa34cc941fcf"
         )
+
+
+#: Another valid value for each string-valued field, by name.
+_OTHER_CHOICES = {
+    "scheduler": scheduler_names(),
+    "page_policy": ("closed", "open"),
+    "mechanism": tuple(mechanism.value for mechanism in RefreshMechanism),
+    "pattern": tuple(sorted(GENERATORS)),
+    "kernel": SystemConfig.KERNELS,
+    "trace_format": ObsConfig.TRACE_FORMATS,
+}
+
+
+def _changed(name: str, value):
+    """A valid value other than ``value`` for the field ``name``."""
+    if name == "fgr_mode":
+        return 2 if value != 2 else 4
+    if name in _OTHER_CHOICES:
+        return next(choice for choice in _OTHER_CHOICES[name] if choice != value)
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value / 2 if value else 0.5
+    if isinstance(value, str):
+        return value + "_other"
+    if value is None:
+        return "elsewhere"
+    raise AssertionError(f"no change rule for {name}={value!r}")
+
+
+def _leaves(plain: dict, prefix: tuple = ()):
+    """``(path, value)`` of every leaf of a nested plain dict."""
+    for name, value in plain.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, prefix + (name,))
+        else:
+            yield prefix + (name,), value
+
+
+def _with_leaf(config: SystemConfig, path: tuple, value) -> SystemConfig:
+    plain = config.to_dict()
+    node = plain
+    for name in path[:-1]:
+        node = node[name]
+    node[path[-1]] = value
+    return SystemConfig.from_dict(plain)
+
+
+class TestJobKey:
+    """Every field that can change a result is part of the job key."""
+
+    @pytest.mark.parametrize("scheduler", scheduler_names())
+    def test_every_config_leaf_changes_the_key(self, scheduler):
+        config = small_system("refab").with_scheduler(scheduler)
+        base = job_key(config)
+        leaves = list(_leaves(config.to_dict()))
+        assert len(leaves) == 58  # every settable field, kernel and obs too
+        for path, value in leaves:
+            name = path[-1]
+            changed = _with_leaf(config, path, _changed(name, value))
+            inert = path[0] in ("kernel", "obs") or (
+                name == "row_hit_cap" and scheduler != "frfcfs-cap"
+            )
+            if inert:
+                assert job_key(changed) == base, path
+            else:
+                assert job_key(changed) != base, path
+
+    def test_every_workload_and_benchmark_field_changes_the_key(self):
+        workload = small_workload()
+        base = job_key(workload=workload)
+        for field in dataclasses.fields(workload):
+            if field.name == "benchmarks":
+                continue
+            value = _changed(field.name, getattr(workload, field.name))
+            changed = dataclasses.replace(workload, **{field.name: value})
+            assert job_key(workload=changed) != base, field.name
+        first, *rest = workload.benchmarks
+        for field in dataclasses.fields(first):
+            value = _changed(field.name, getattr(first, field.name))
+            benchmark = dataclasses.replace(first, **{field.name: value})
+            changed = dataclasses.replace(workload, benchmarks=(benchmark, *rest))
+            assert job_key(workload=changed) != base, field.name
 
 
 class TestStores:

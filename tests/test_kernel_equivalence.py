@@ -285,11 +285,12 @@ class TestKernelConfiguration:
         assert paper_system().kernel == "event"
 
     def test_kernel_excluded_from_fingerprint(self):
-        """Bit-identical kernels share cached results: same fingerprint."""
+        """Bit-identical kernels share cached results: same job key."""
+        from tests.conftest import job_key
+
         config = paper_system()
-        assert (
-            config.with_kernel("cycle").fingerprint()
-            == config.with_kernel("event").fingerprint()
+        assert job_key(config.with_kernel("cycle")) == job_key(
+            config.with_kernel("event")
         )
 
     def test_runner_kernel_override(self):

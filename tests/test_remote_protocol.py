@@ -195,6 +195,13 @@ class TestPayloadEnvelopes:
         with pytest.raises(ValueError, match="key"):
             decode_job(payload)
 
+    def test_job_whose_benchmark_parameters_changed_is_refused(self):
+        payload = over_the_wire(encode_job(small_job()))
+        # Same benchmark name, twice the footprint: another simulation.
+        payload["workload"]["benchmarks"][0]["footprint_bytes"] *= 2
+        with pytest.raises(ValueError, match="key"):
+            decode_job(payload)
+
     @pytest.mark.parametrize(
         ("field", "value"),
         [("warmup", -5), ("cycles", 100.5), ("seed", True)],

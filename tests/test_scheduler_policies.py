@@ -38,6 +38,8 @@ from repro.sweep.spec import Axis, SweepSpec
 from repro.workloads.benchmark_suite import get_benchmark
 from repro.workloads.mixes import make_workload
 
+from tests.conftest import job_key
+
 
 class TestRegistry:
     def test_all_policies_registered(self):
@@ -128,30 +130,30 @@ class TestConfigThreading:
 
     def test_fingerprints_differ_per_policy(self):
         base = paper_system()
-        fingerprints = {base.fingerprint()}
+        keys = {job_key(base)}
         for scheduler in scheduler_names():
             for page_policy in PAGE_POLICIES:
                 config = base.with_scheduler(scheduler).with_page_policy(page_policy)
-                fingerprints.add(config.fingerprint())
+                keys.add(job_key(config))
         # 3 schedulers x 2 page policies; the default combination collides
         # with `base` by design (it *is* the default).
-        assert len(fingerprints) == 6
+        assert len(keys) == 6
 
     def test_row_hit_cap_inert_for_schedulers_that_ignore_it(self):
         """Sweeping row_hit_cap under frfcfs/fcfs must not split the cache:
-        the knob only fingerprints under the scheduler that reads it."""
+        the knob is only in the job key under the scheduler that reads it."""
         base = paper_system()
         for scheduler in ("frfcfs", "fcfs"):
             config = base.with_scheduler(scheduler)
             recapped = replace(
                 config, controller=replace(config.controller, row_hit_cap=16)
             )
-            assert recapped.fingerprint() == config.fingerprint()
+            assert job_key(recapped) == job_key(config)
         capped = base.with_scheduler("frfcfs-cap")
         recapped = replace(
             capped, controller=replace(capped.controller, row_hit_cap=16)
         )
-        assert recapped.fingerprint() != capped.fingerprint()
+        assert job_key(recapped) != job_key(capped)
 
     def test_page_policy_descriptions_cover_every_policy(self):
         from repro.config.controller_config import PAGE_POLICY_DESCRIPTIONS
@@ -189,9 +191,11 @@ class TestRunnerOverrides:
         job = runner._job(paper_system(), workload)
         assert job.config.controller.scheduler == "fcfs"
         assert job.config.controller.page_policy == "open"
-        # The memoization fingerprint must agree with the job identity,
-        # or _result_for's fast path never hits under an override.
-        assert runner._fingerprint(paper_system(), workload) == job.fingerprint()
+        # The memo key must agree with the identity of the overridden
+        # config, or _result_for's fast path never hits under an override.
+        overridden = paper_system().with_scheduler("fcfs").with_page_policy("open")
+        assert job.key() == job_key(overridden, workload)
+        assert runner._job(paper_system(), workload) is job
 
     def test_runner_rejects_unknown_overrides(self):
         from repro.sim.runner import ExperimentRunner
@@ -260,11 +264,11 @@ class TestSweepAxis:
             mechanisms=("refab",),
             baseline="refab",
         )
-        fingerprints = {
-            build_config(spec, {"scheduler": name}).fingerprint()
+        keys = {
+            job_key(build_config(spec, {"scheduler": name}))
             for name in ("frfcfs", "fcfs", "frfcfs-cap")
         }
-        assert len(fingerprints) == 3
+        assert len(keys) == 3
 
     def test_spec_json_round_trip_keeps_policy_axes(self):
         spec = SweepSpec(

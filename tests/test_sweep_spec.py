@@ -17,6 +17,8 @@ from repro.sweep import (
     point_key,
 )
 
+from tests.conftest import job_key
+
 
 def two_axis_spec(**overrides) -> SweepSpec:
     kwargs = dict(
@@ -218,7 +220,9 @@ class TestBuildWorkloads:
         spec = two_axis_spec(axes=(Axis("workload_seed", (0, 1)),))
         first = build_workloads(spec, {"workload_seed": 0})
         second = build_workloads(spec, {"workload_seed": 1})
-        assert [w.fingerprint() for w in first] != [w.fingerprint() for w in second]
+        assert [job_key(workload=w) for w in first] != [
+            job_key(workload=w) for w in second
+        ]
 
     def test_base_workload_seed_is_honored(self):
         # A fixed workload_seed in `base` must build the same workloads as
@@ -229,8 +233,8 @@ class TestBuildWorkloads:
         )
         from_base = build_workloads(base_spec, {"tfaw": 10, "subarrays_per_bank": 4})
         from_axis = build_workloads(axis_spec, {"workload_seed": 7, "tfaw": 10})
-        assert [w.fingerprint() for w in from_base] == [
-            w.fingerprint() for w in from_axis
+        assert [job_key(workload=w) for w in from_base] == [
+            job_key(workload=w) for w in from_axis
         ]
 
     def test_category_sweep_kind(self):

@@ -31,6 +31,8 @@ from repro.workloads.mixes import (
 )
 from repro.workloads.trace import summarize, take
 
+from tests.conftest import job_key
+
 
 class TestTake:
     def test_truncated_trace_yields_prefix(self):
@@ -366,12 +368,12 @@ class TestWorkloadMixes:
     def test_category_is_deterministic(self):
         a = make_workload_category(50, index=1, num_cores=8, seed=3)
         b = make_workload_category(50, index=1, num_cores=8, seed=3)
-        assert a.fingerprint() == b.fingerprint()
+        assert job_key(workload=a) == job_key(workload=b)
 
     def test_different_indices_differ(self):
         a = make_workload_category(50, index=0, num_cores=8)
         b = make_workload_category(50, index=1, num_cores=8)
-        assert a.fingerprint() != b.fingerprint()
+        assert job_key(workload=a) != job_key(workload=b)
 
     def test_invalid_category_rejected(self):
         with pytest.raises(ValueError):
