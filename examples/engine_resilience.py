@@ -7,7 +7,7 @@ with results identical to a serial execution.  This drill proves it the
 hard way — a progress hook SIGKILLs a live worker as soon as the first
 simulation lands — then exercises the second half of the promise: a
 WAL-mode :class:`~repro.engine.sqlite_store.SqliteStore` committed every
-result incrementally, so a follow-up ``--resume``-style run replays the
+result incrementally, so a follow-up run against the same store replays the
 whole batch from the store with **zero** new simulations.
 
 Run with:  python examples/engine_resilience.py

@@ -174,15 +174,8 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "SQLite result store shared across runs (created if missing; "
-            "WAL mode, safe under concurrent writers)"
-        ),
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "resume a killed or partial run from --store: completed jobs "
-            "are replayed from the store and only missing jobs simulate"
+            "WAL mode, safe under concurrent writers); a rerun replays "
+            "completed jobs from it and simulates only missing ones"
         ),
     )
     parser.add_argument(
@@ -227,10 +220,16 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--cycles", type=int, default=None, help="measured window in DRAM cycles"
+        "--cycles",
+        type=_positive_int,
+        default=None,
+        help="measured window in DRAM cycles",
     )
     parser.add_argument(
-        "--warmup", type=int, default=None, help="warmup window in DRAM cycles"
+        "--warmup",
+        type=_nonnegative_int,
+        default=None,
+        help="warmup window in DRAM cycles",
     )
     parser.add_argument(
         "--seed", type=int, default=0, help="simulation seed (default: 0)"
@@ -301,13 +300,13 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     """Experiment-scale options shared by ``run``, ``profile``, ``report``."""
     parser.add_argument(
         "--workloads-per-category",
-        type=int,
+        type=_positive_int,
         default=None,
         help="workloads per intensity category for the sweep experiments",
     )
     parser.add_argument(
         "--sensitivity-workloads",
-        type=int,
+        type=_positive_int,
         default=None,
         help="workload count for the sensitivity experiments",
     )
@@ -713,9 +712,6 @@ def _build_runner(
     ``scheduler``/``page_policy`` axis is never silently clobbered by a
     blanket per-job override.
     """
-    if getattr(args, "resume", False) and not args.store:
-        stderr.write("error: --resume requires --store (nothing to resume from)\n")
-        raise SystemExit(2)
     store = None
     if args.store:
         try:
@@ -723,13 +719,7 @@ def _build_runner(
         except (OSError, ValueError) as error:
             stderr.write(f"error: {error}\n")
             raise SystemExit(2)
-        cached = len(store)
-        stderr.write(f"store: {store.path} ({cached} cached results)\n")
-        if getattr(args, "resume", False):
-            stderr.write(
-                f"resume: replaying {cached} completed jobs from the store; "
-                "only missing jobs will simulate\n"
-            )
+        stderr.write(f"store: {store.path} ({len(store)} cached results)\n")
     max_retries = getattr(args, "max_retries", 2)
     job_timeout = getattr(args, "job_timeout", None)
     serve = getattr(args, "serve", None)

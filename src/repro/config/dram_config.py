@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+from repro.config.serialize import store_floats
+
 
 #: Measured all-bank refresh latencies (ns) for existing DRAM densities (Gb),
 #: taken from DDR3 datasheets; these anchor the linear projections of Fig. 5.
@@ -121,6 +123,9 @@ class DRAMTimings:
     tRFCab: int = 234
     tRFCpb: int = 102
 
+    def __post_init__(self) -> None:
+        store_floats(self)
+
     @property
     def tRC(self) -> int:
         """Row cycle time (ACT-to-ACT on the same bank)."""
@@ -160,6 +165,9 @@ class DRAMConfig:
     timings: DRAMTimings = field(default_factory=DRAMTimings)
     #: Fine-granularity refresh mode: 1 (normal), 2 or 4 (DDR4 FGR).
     fgr_mode: int = 1
+
+    def __post_init__(self) -> None:
+        store_floats(self)
 
     @classmethod
     def for_density(

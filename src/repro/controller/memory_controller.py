@@ -24,39 +24,24 @@ from repro.controller.write_drain import WriteDrainState
 from repro.dram.address import AddressMapper
 from repro.dram.commands import Command, CommandType
 from repro.dram.device import DRAMDevice
-from repro.stats import StatsSchema, StatsStruct, WeightedAverage, register_schema
+from repro.stats import StatsStruct, WeightedAverage
 
 
 @dataclass
 class ControllerStats(StatsStruct):
     """Per-channel service statistics.
 
-    Merging across channels goes through :attr:`SCHEMA`: the latency
-    counters merge as raw totals and the average latencies are recomputed
-    from the merged totals — a weighted average by construction, never a
-    sum of per-channel averages.
+    Merging across channels goes through :meth:`merge_dicts`: the latency
+    counters merge as raw totals and the average latencies (:attr:`RATIOS`)
+    are recomputed from the merged totals — a weighted average by
+    construction, never a sum of per-channel averages.
     """
 
-    SCHEMA = register_schema(
-        StatsSchema(
-            "controller",
-            fields=(
-                "served_reads",
-                "served_writes",
-                "total_read_latency",
-                "total_write_latency",
-                "issued_commands",
-                "rejected_enqueues",
-            ),
-            derived=(
-                WeightedAverage(
-                    "average_read_latency", "total_read_latency", "served_reads"
-                ),
-                WeightedAverage(
-                    "average_write_latency", "total_write_latency", "served_writes"
-                ),
-            ),
-        )
+    RATIOS = (
+        WeightedAverage("average_read_latency", "total_read_latency", "served_reads"),
+        WeightedAverage(
+            "average_write_latency", "total_write_latency", "served_writes"
+        ),
     )
 
     served_reads: int = 0
@@ -68,15 +53,11 @@ class ControllerStats(StatsStruct):
 
     @property
     def average_read_latency(self) -> float:
-        if not self.served_reads:
-            return 0.0
-        return self.total_read_latency / self.served_reads
+        return self.RATIOS[0].of(self)
 
     @property
     def average_write_latency(self) -> float:
-        if not self.served_writes:
-            return 0.0
-        return self.total_write_latency / self.served_writes
+        return self.RATIOS[1].of(self)
 
 
 class ChannelController:
@@ -885,7 +866,7 @@ class MemorySystem:
 
     # -- statistics ----------------------------------------------------------------
     def merged_controller_stats(self) -> dict:
-        """Cross-channel controller statistics, merged under the schema.
+        """Cross-channel controller statistics, merged by :class:`ControllerStats`.
 
         The latency averages come out weighted by served request counts
         (recomputed from the merged raw totals), never summed.

@@ -22,26 +22,12 @@ from typing import Optional
 
 from repro.config.system import SystemConfig
 from repro.dram.commands import Command, CommandType
-from repro.stats import StatsSchema, StatsStruct, register_schema
+from repro.stats import StatsStruct
 
 
 @dataclass
 class RefreshStats(StatsStruct):
     """Counters shared by every refresh policy."""
-
-    SCHEMA = register_schema(
-        StatsSchema(
-            "refresh",
-            fields=(
-                "all_bank_issued",
-                "per_bank_issued",
-                "postponed",
-                "pulled_in",
-                "forced",
-                "write_mode_refreshes",
-            ),
-        )
-    )
 
     all_bank_issued: int = 0
     per_bank_issued: int = 0

@@ -22,7 +22,7 @@ from typing import Iterator, Optional
 from repro.cache.llc import LastLevelCache
 from repro.config.cpu_config import CPUConfig
 from repro.controller.request import MemRequest
-from repro.stats import StatsSchema, StatsStruct, WeightedAverage, register_schema
+from repro.stats import StatsStruct, WeightedAverage
 from repro.workloads.trace import TraceEntry
 
 #: :meth:`Core.tick` outcome: the core changed no state at all — it is
@@ -43,24 +43,8 @@ CORE_ACTIVE = 2
 class CoreStats(StatsStruct):
     """Retirement and memory statistics for one core."""
 
-    SCHEMA = register_schema(
-        StatsSchema(
-            "core",
-            fields=(
-                "instructions",
-                "loads",
-                "stores",
-                "llc_load_misses",
-                "dram_reads_issued",
-                "dram_writes_issued",
-                "stall_cycles",
-            ),
-            derived=(
-                WeightedAverage(
-                    "mpki", "dram_reads_issued", "instructions", scale=1000.0
-                ),
-            ),
-        )
+    RATIOS = (
+        WeightedAverage("mpki", "dram_reads_issued", "instructions", scale=1000.0),
     )
 
     instructions: int = 0
@@ -73,9 +57,7 @@ class CoreStats(StatsStruct):
 
     def mpki(self) -> float:
         """DRAM read requests (LLC misses) per thousand instructions."""
-        if self.instructions <= 0:
-            return 0.0
-        return self.dram_reads_issued * 1000.0 / self.instructions
+        return self.RATIOS[0].of(self)
 
 
 class Core:

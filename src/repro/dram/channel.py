@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.dram.rank import Rank
-from repro.stats import StatsSchema, StatsStruct, register_schema
+from repro.stats import StatsStruct
 
 
 @dataclass
@@ -21,13 +21,9 @@ class ChannelStats(StatsStruct):
 
     Owning the counters (instead of spreading bare attributes over the
     channel) lets the simulator's warmup reset call a single
-    :meth:`reset` (schema-driven, so new counters added here can never be
+    :meth:`reset` (field-driven, so new counters added here can never be
     silently missed by the measurement-window reset).
     """
-
-    SCHEMA = register_schema(
-        StatsSchema("channel", fields=("read_bursts", "write_bursts", "busy_cycles"))
-    )
 
     read_bursts: int = 0
     write_bursts: int = 0

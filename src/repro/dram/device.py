@@ -24,27 +24,12 @@ from repro.dram.channel import Channel
 from repro.dram.commands import Command, CommandType
 from repro.dram.power_integrity import scaled_tfaw_trrd
 from repro.dram.rank import Rank
-from repro.stats import StatsSchema, StatsStruct, register_schema
+from repro.stats import StatsStruct
 
 
 @dataclass
 class DeviceStats(StatsStruct):
     """Aggregate command counts for the whole device."""
-
-    SCHEMA = register_schema(
-        StatsSchema(
-            "device",
-            fields=(
-                "activates",
-                "reads",
-                "writes",
-                "precharges",
-                "all_bank_refreshes",
-                "per_bank_refreshes",
-                "subarray_conflicts",
-            ),
-        )
-    )
 
     activates: int = 0
     reads: int = 0

@@ -41,7 +41,7 @@ from repro.engine.queue import (
 )
 from repro.engine.remote import RemoteCoordinator
 from repro.engine.store import ResultStore
-from repro.stats import StatsSchema, StatsStruct, register_schema
+from repro.stats import StatsStruct
 
 if TYPE_CHECKING:  # avoid repro.sim <-> repro.engine import cycle
     from repro.sim.results import SimulationResult
@@ -50,28 +50,6 @@ if TYPE_CHECKING:  # avoid repro.sim <-> repro.engine import cycle
 @dataclass
 class ExecutorStats(StatsStruct):
     """Cumulative counters across every batch an executor has run."""
-
-    SCHEMA = register_schema(
-        StatsSchema(
-            "executor",
-            fields=(
-                "jobs",
-                "store_hits",
-                "simulated",
-                "elapsed_s",
-                "shards",
-                "steals",
-                "retries",
-                "timeouts",
-                "worker_failures",
-                "remote_workers",
-                "bytes_sent",
-                "bytes_received",
-                "reassignments",
-                "calibrated_jobs",
-            ),
-        )
-    )
 
     jobs: int = 0
     store_hits: int = 0
@@ -108,10 +86,10 @@ class ExecutorStats(StatsStruct):
         Lets callers (the benchmark harness, progress reporting) attribute
         a slice of a long-lived executor's cumulative counters to one
         phase of work without resetting shared state.  The subtraction is
-        the schema's :meth:`~repro.stats.StatsSchema.diff`, so fields added
-        to the schema can never be silently dropped from deltas.
+        :meth:`~repro.stats.StatsStruct.diff` over the dataclass fields, so
+        a field added here can never be silently dropped from deltas.
         """
-        return ExecutorStats(**self.SCHEMA.diff(self.as_dict(), since.as_dict()))
+        return ExecutorStats(**self.diff(self.as_dict(), since.as_dict()))
 
 
 class JobExecutor(ABC):

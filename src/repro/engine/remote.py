@@ -9,7 +9,7 @@ local simulation processes and pull cost-balanced shards from the very
 same :func:`~repro.engine.queue.plan_shards` plan the in-process
 dispatcher uses.  Results flow back as
 :class:`~repro.sim.results.SimulationResult` dicts and are committed
-through the coordinator's store, keyed by job key, so ``--resume`` and
+through the coordinator's store, keyed by job key, so resume and
 warm-cache semantics are unchanged across hosts and the merged output is
 bit-identical to a serial run.
 
@@ -85,7 +85,6 @@ from repro.engine.queue import (
     WorkerPool,
 )
 from repro.obs.log import get_logger
-from repro.workloads.benchmark_suite import Benchmark
 from repro.workloads.mixes import Workload
 
 log = get_logger(__name__)
@@ -251,13 +250,9 @@ def decode_job(payload: dict) -> SimulationJob:
     Raises ``ValueError`` if the rebuilt job's key differs from the one
     sent, so a job is never simulated (and cached) under another's key.
     """
-    workload = dict(payload["workload"])
-    workload["benchmarks"] = tuple(
-        from_plain(Benchmark, benchmark) for benchmark in workload["benchmarks"]
-    )
     job = SimulationJob(
         config=SystemConfig.from_dict(payload["config"]),
-        workload=from_plain(Workload, workload),
+        workload=from_plain(Workload, payload["workload"]),
         cycles=payload["cycles"],
         warmup=payload["warmup"],
         seed=payload["seed"],

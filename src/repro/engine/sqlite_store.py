@@ -12,7 +12,7 @@ Why SQLite:
   POSIX locks) warm the same store without corrupting it.
 * **Incremental commits.**  Every ``put`` is its own transaction, so a
   run killed at any instant leaves a consistent database with everything
-  committed so far — the foundation of ``repro run --resume``.
+  committed so far — rerunning it against the same store resumes it.
 * **Cheap point lookups.**  A million-config design-space sweep resumes
   by primary-key probes instead of loading every result into memory.
 

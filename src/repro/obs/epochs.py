@@ -7,10 +7,9 @@ retired, stall cycles, commands issued, refreshes, subarray conflicts)
 and *boundary snapshots* of instantaneous occupancy (queue depths, open
 banks, banks under refresh).
 
-Samples merge through the :mod:`repro.stats` registry under the
-``"epoch"`` schema, so aggregating epochs — within a run or across runs —
-recomputes IPC and the average depths from merged raw totals instead of
-averaging averages.
+Samples merge as :class:`EpochStats`, so aggregating epochs — within a
+run or across runs — recomputes IPC and the average depths from merged
+raw totals instead of averaging averages.
 
 Sampling is observation-only: the simulator reaches every epoch boundary
 through the same clamped kernel steps it would use for the end of the
@@ -20,47 +19,24 @@ bit-identity tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from repro.stats import (
-    MAX,
-    StatField,
-    StatsSchema,
-    StatsStruct,
-    WeightedAverage,
-    register_schema,
-)
+from repro.config.serialize import to_plain
+from repro.stats import MAX, StatsStruct, WeightedAverage
+
+#: Instructions retired per DRAM cycle, of one sample or of merged samples.
+IPC = WeightedAverage("ipc", "instructions", "cycles")
 
 
 @dataclass
 class EpochStats(StatsStruct):
     """Merge semantics for epoch samples (see :meth:`EpochSample.stats_dict`)."""
 
-    SCHEMA = register_schema(
-        StatsSchema(
-            "epoch",
-            fields=(
-                "epochs",
-                "cycles",
-                "instructions",
-                "stall_cycles",
-                "commands",
-                "refreshes",
-                "subarray_conflicts",
-                "read_queue",
-                "write_queue",
-                "open_banks",
-                "refreshing_banks",
-                StatField("max_read_queue", merge=MAX),
-                StatField("max_write_queue", merge=MAX),
-            ),
-            derived=(
-                WeightedAverage("ipc", "instructions", "cycles"),
-                WeightedAverage("avg_read_queue", "read_queue", "epochs"),
-                WeightedAverage("avg_write_queue", "write_queue", "epochs"),
-                WeightedAverage("avg_refreshing_banks", "refreshing_banks", "epochs"),
-            ),
-        )
+    RATIOS = (
+        IPC,
+        WeightedAverage("avg_read_queue", "read_queue", "epochs"),
+        WeightedAverage("avg_write_queue", "write_queue", "epochs"),
+        WeightedAverage("avg_refreshing_banks", "refreshing_banks", "epochs"),
     )
 
     epochs: int = 0
@@ -74,8 +50,8 @@ class EpochStats(StatsStruct):
     write_queue: int = 0
     open_banks: int = 0
     refreshing_banks: int = 0
-    max_read_queue: int = 0
-    max_write_queue: int = 0
+    max_read_queue: int = field(default=0, metadata={"merge": MAX})
+    max_write_queue: int = field(default=0, metadata={"merge": MAX})
 
 
 @dataclass(frozen=True)
@@ -101,50 +77,32 @@ class EpochSample:
 
     @property
     def ipc(self) -> float:
-        return self.instructions / self.cycles if self.cycles else 0.0
+        return IPC.of(self)
 
     def as_dict(self) -> dict:
-        return {
-            "start": self.start,
-            "cycles": self.cycles,
-            "instructions": self.instructions,
-            "stall_cycles": self.stall_cycles,
-            "commands": self.commands,
-            "refreshes": self.refreshes,
-            "subarray_conflicts": self.subarray_conflicts,
-            "read_queue": self.read_queue,
-            "write_queue": self.write_queue,
-            "open_banks": self.open_banks,
-            "refreshing_banks": self.refreshing_banks,
-            "ipc": self.ipc,
-        }
+        values = to_plain(self)
+        values["ipc"] = self.ipc
+        return values
 
     def stats_dict(self) -> dict:
-        """Mergeable payload under the ``"epoch"`` schema.
+        """Mergeable :class:`EpochStats` payload.
 
         ``epochs`` (always 1) is the weight for the boundary-snapshot
         averages, and the boundary depths seed the MAX-merged peaks.
         """
-        return {
-            "epochs": 1,
-            "cycles": self.cycles,
-            "instructions": self.instructions,
-            "stall_cycles": self.stall_cycles,
-            "commands": self.commands,
-            "refreshes": self.refreshes,
-            "subarray_conflicts": self.subarray_conflicts,
-            "read_queue": self.read_queue,
-            "write_queue": self.write_queue,
-            "open_banks": self.open_banks,
-            "refreshing_banks": self.refreshing_banks,
-            "max_read_queue": self.read_queue,
-            "max_write_queue": self.write_queue,
-        }
+        values = to_plain(self)
+        del values["start"]
+        values.update(
+            epochs=1,
+            max_read_queue=self.read_queue,
+            max_write_queue=self.write_queue,
+        )
+        return values
 
 
 def merge_epoch_samples(samples) -> dict:
-    """Aggregate samples under the registered ``"epoch"`` schema."""
-    return EpochStats.SCHEMA.merge(sample.stats_dict() for sample in samples)
+    """Aggregate samples as :class:`EpochStats`."""
+    return EpochStats.merge_dicts(sample.stats_dict() for sample in samples)
 
 
 class EpochSampler:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.config.serialize import from_plain, to_plain
 from repro.metrics.speedup import (
     harmonic_speedup,
     maximum_slowdown,
@@ -23,34 +24,6 @@ class CoreResult:
     dram_reads: int
     dram_writes: int
     stall_cycles: int
-
-    def as_dict(self) -> dict:
-        return {
-            "core_id": self.core_id,
-            "benchmark": self.benchmark,
-            "instructions": self.instructions,
-            "ipc": self.ipc,
-            "mpki": self.mpki,
-            "dram_reads": self.dram_reads,
-            "dram_writes": self.dram_writes,
-            "stall_cycles": self.stall_cycles,
-        }
-
-    #: Alias so core results serialize like :class:`SimulationResult`.
-    to_dict = as_dict
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CoreResult":
-        return cls(
-            core_id=data["core_id"],
-            benchmark=data["benchmark"],
-            instructions=data["instructions"],
-            ipc=data["ipc"],
-            mpki=data["mpki"],
-            dram_reads=data["dram_reads"],
-            dram_writes=data["dram_writes"],
-            stall_cycles=data["stall_cycles"],
-        )
 
 
 @dataclass
@@ -86,34 +59,12 @@ class SimulationResult:
 
     def to_dict(self) -> dict:
         """JSON-compatible representation (see :meth:`from_dict`)."""
-        return {
-            "workload": self.workload,
-            "mechanism": self.mechanism,
-            "density_gb": self.density_gb,
-            "cycles": self.cycles,
-            "warmup_cycles": self.warmup_cycles,
-            "cores": [core.to_dict() for core in self.cores],
-            "device_stats": dict(self.device_stats),
-            "controller_stats": dict(self.controller_stats),
-            "refresh_stats": dict(self.refresh_stats),
-            "energy": dict(self.energy),
-        }
+        return to_plain(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimulationResult":
         """Inverse of :meth:`to_dict`: rebuild an equal result record."""
-        return cls(
-            workload=data["workload"],
-            mechanism=data["mechanism"],
-            density_gb=data["density_gb"],
-            cycles=data["cycles"],
-            warmup_cycles=data["warmup_cycles"],
-            cores=[CoreResult.from_dict(core) for core in data["cores"]],
-            device_stats=dict(data["device_stats"]),
-            controller_stats=dict(data["controller_stats"]),
-            refresh_stats=dict(data["refresh_stats"]),
-            energy=dict(data["energy"]),
-        )
+        return from_plain(cls, data)
 
 
 @dataclass

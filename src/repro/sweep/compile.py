@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.config.presets import paper_system
+from repro.config.serialize import from_plain, to_plain
 from repro.config.system import SystemConfig
 from repro.sim.runner import ExperimentRunner, get_default_runner
 from repro.sweep.spec import (
@@ -128,33 +129,11 @@ class SweepCell:
     accesses: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "point": dict(self.point),
-            "workload": self.workload,
-            "category": self.category,
-            "mechanism": self.mechanism,
-            "weighted_speedup": self.weighted_speedup,
-            "harmonic_speedup": self.harmonic_speedup,
-            "maximum_slowdown": self.maximum_slowdown,
-            "energy_per_access_nj": self.energy_per_access_nj,
-            "energy_nj": self.energy_nj,
-            "accesses": self.accesses,
-        }
+        return to_plain(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepCell":
-        return cls(
-            point=dict(data["point"]),
-            workload=data["workload"],
-            category=data.get("category", -1),
-            mechanism=data["mechanism"],
-            weighted_speedup=data["weighted_speedup"],
-            harmonic_speedup=data["harmonic_speedup"],
-            maximum_slowdown=data["maximum_slowdown"],
-            energy_per_access_nj=data["energy_per_access_nj"],
-            energy_nj=data["energy_nj"],
-            accesses=data["accesses"],
-        )
+        return from_plain(cls, data)
 
 
 @dataclass

@@ -40,33 +40,6 @@ class Workload:
     def num_cores(self) -> int:
         return len(self.benchmarks)
 
-    def to_dict(self) -> dict:
-        """JSON-compatible spec; benchmarks are referenced by suite name."""
-        return {
-            "name": self.name,
-            "benchmarks": [benchmark.name for benchmark in self.benchmarks],
-            "category": self.category,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Workload":
-        """Rebuild a workload from :meth:`to_dict` output.
-
-        Workloads and benchmarks are plain frozen dataclasses and pickle
-        fine across process boundaries; this spec form exists for
-        human-readable manifests (CLI stores, logs) where pickling is
-        inappropriate.
-        """
-        from repro.workloads.benchmark_suite import get_benchmark
-
-        return cls(
-            name=data["name"],
-            benchmarks=tuple(get_benchmark(name) for name in data["benchmarks"]),
-            category=data.get("category", -1),
-            seed=data.get("seed", 0),
-        )
-
 
 def make_workload(
     benchmarks: list[Benchmark] | tuple[Benchmark, ...],

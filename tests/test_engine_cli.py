@@ -171,21 +171,29 @@ class TestResilienceFlags:
         assert code == 0
         assert store.read_bytes()[:15] == b"SQLite format 3"
 
-    def test_resume_requires_store(self):
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--cycles", "0"],
+            ["--warmup", "-5"],
+            ["--workloads-per-category", "0"],
+            ["--sensitivity-workloads", "0"],
+        ],
+    )
+    def test_bad_window_and_scale_flags_are_usage_errors(self, flags):
         with pytest.raises(SystemExit) as excinfo:
-            run_cli(["run", "figure5", "--resume"])
+            run_cli(["run", "figure5", *flags])
         assert excinfo.value.code == 2
 
-    def test_resume_replays_from_store(self, tmp_path):
+    def test_store_rerun_replays_from_store(self, tmp_path):
+        # Resuming a killed or partial run is a plain rerun against the
+        # same store: completed jobs replay, only missing ones simulate.
         store = tmp_path / "cache.sqlite"
         code, first_out, _ = run_cli(self.ARGV + ["--store", str(store)])
         assert code == 0
 
-        code, second_out, err = run_cli(
-            self.ARGV + ["--store", str(store), "--resume"]
-        )
+        code, second_out, err = run_cli(self.ARGV + ["--store", str(store)])
         assert code == 0
-        assert "resume: replaying" in err
         assert "— 0 simulated" in err
         assert json.loads(second_out) == json.loads(first_out)
 

@@ -1,6 +1,7 @@
 """Tests for the engine result stores and result serialization."""
 
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import pickle
@@ -10,7 +11,9 @@ import sqlite3
 import pytest
 
 from repro.config.obs_config import ObsConfig
+from repro.config.presets import paper_system
 from repro.config.refresh_config import RefreshMechanism
+from repro.config.serialize import from_plain, to_plain
 from repro.config.system import SystemConfig
 from repro.controller.policies import scheduler_names
 from repro.engine.jobs import SimulationJob, execute_job
@@ -47,9 +50,19 @@ class TestSerialization:
         rebuilt = SimulationResult.from_dict(json.loads(json.dumps(result.to_dict())))
         assert rebuilt == result
 
+    def test_result_payload_is_pinned(self):
+        # The result record's JSON form is derived from its dataclass
+        # fields; pin one small job's payload so a changed value, type or
+        # key (which would make stored and remote results disagree with
+        # fresh ones) fails loudly.
+        payload = json.dumps(make_job("dsarp").run().to_dict(), sort_keys=True)
+        assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == (
+            "b15f3b9434cd64b7333ed155d905d001d25a9b90ab046ba0aa71e4fb862b663a"
+        )
+
     def test_workload_spec_round_trip(self):
         workload = make_workload_category(50, index=1, num_cores=4)
-        rebuilt = Workload.from_dict(json.loads(json.dumps(workload.to_dict())))
+        rebuilt = from_plain(Workload, json.loads(json.dumps(to_plain(workload))))
         assert rebuilt == workload
         assert job_key(workload=rebuilt) == job_key(workload=workload)
 
@@ -153,6 +166,19 @@ def _with_leaf(config: SystemConfig, path: tuple, value) -> SystemConfig:
 
 class TestJobKey:
     """Every field that can change a result is part of the job key."""
+
+    def test_int_and_float_of_a_float_field_share_a_key(self):
+        # A JSON spec's ``64`` and the preset's ``64.0`` are one config.
+        preset = paper_system(retention_ms=64.0)
+        plain = preset.to_dict()
+        plain["dram"]["retention_ms"] = 64
+        decoded = SystemConfig.from_dict(plain)
+        assert type(decoded.dram.retention_ms) is float
+        assert job_key(decoded) == job_key(preset)
+        assert job_key(paper_system(retention_ms=64)) == job_key(preset)
+        first = small_workload().benchmarks[0]
+        chase = dataclasses.replace(first, dependent_fraction=1)
+        assert type(chase.dependent_fraction) is float
 
     @pytest.mark.parametrize("scheduler", scheduler_names())
     def test_every_config_leaf_changes_the_key(self, scheduler):
@@ -354,7 +380,7 @@ class TestSqliteStore:
 
 
     def test_killed_writer_keeps_every_committed_result(self, result, tmp_path):
-        # A run killed mid-batch (the --resume scenario) must lose at most
+        # A run killed mid-batch (then resumed from its store) must lose at most
         # the put in flight: every acknowledged commit survives, and the
         # reopened store accepts new writes.
         path = tmp_path / "cache.sqlite"

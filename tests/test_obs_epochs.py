@@ -1,9 +1,9 @@
 """Epoch metrics: merge semantics, run-aggregate agreement, bit-identity.
 
-Epoch samples are deltas plus boundary snapshots; their merge goes
-through the ``repro.stats`` registry's ``"epoch"`` schema so IPC and
-average depths are recomputed from merged raw totals (never averaged
-averages) and peaks merge with MAX.  Sampling itself must be pure
+Epoch samples are deltas plus boundary snapshots; they merge as
+``EpochStats`` (a ``repro.stats.StatsStruct``), so IPC and average depths
+are recomputed from merged raw totals (never averaged averages) and peaks
+merge with MAX.  Sampling itself must be pure
 observation: a run with epochs enabled is bit-identical to one without.
 """
 
@@ -74,12 +74,14 @@ class TestMergeSemantics:
         assert merged["avg_write_queue"] == pytest.approx(4.0)
 
     def test_merge_goes_through_registered_schema(self):
-        # Field additions must flow through the registry: merging via the
-        # schema name gives the same result as the helper.
+        # Field additions must flow through EpochStats: merging its
+        # payloads directly gives the same result as the helper, and the
+        # merged record carries every EpochStats counter and ratio.
         samples = [make_sample(0, 10, 5, read_queue=1)] * 2
         merged = merge_epoch_samples(samples)
-        direct = EpochStats.SCHEMA.merge(s.stats_dict() for s in samples)
+        direct = EpochStats.merge_dicts(s.stats_dict() for s in samples)
         assert merged == direct
+        assert set(merged) == set(EpochStats().as_dict())
 
     def test_sample_ipc_property(self):
         assert make_sample(0, 200, 100, read_queue=0).ipc == pytest.approx(0.5)

@@ -1,13 +1,16 @@
-"""Tests for the unified statistics registry (``repro.stats``).
+"""Tests for the statistics dataclasses (``repro.stats``).
 
-Covers the schema contract (field/derived validation, merge semantics,
-diffs, registry lookups) and the integration points that used to hand-roll
-their merging: the cross-channel controller-stats merge (whose
-sum-of-averages bug the registry makes unexpressible), the refresh-stats
+Covers the ``StatsStruct`` contract (merge semantics, diffs, every holder
+declaring its counters once) and the integration points that used to
+hand-roll their merging: the cross-channel controller-stats merge (whose
+sum-of-averages bug derived ratios make unexpressible), the refresh-stats
 merge, and the executor-stats delta plumbing the benchmark harness uses.
 """
 
 from __future__ import annotations
+
+import dataclasses
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -17,60 +20,46 @@ from repro.cpu.core_model import CoreStats
 from repro.dram.channel import ChannelStats
 from repro.dram.device import DeviceStats
 from repro.engine.executor import ExecutorStats
-from repro.stats import (
-    MAX,
-    StatField,
-    StatsSchema,
-    WeightedAverage,
-    get_schema,
-    merge_stats,
-    register_schema,
-    schema_names,
-)
+from repro.obs.epochs import EpochStats
+from repro.stats import MAX, StatsStruct, WeightedAverage
+
+
+@dataclass
+class Latency(StatsStruct):
+    RATIOS = (WeightedAverage("average_latency", "total_latency", "served"),)
+
+    total_latency: int = 0
+    served: int = 0
+
+
+@dataclass
+class Peak(StatsStruct):
+    count: int = 0
+    peak: int = field(default=0, metadata={"merge": MAX})
 
 
 class TestSchemaValidation:
-    def test_unknown_merge_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown merge kind"):
-            StatField("count", merge="median")
-
-    def test_duplicate_fields_rejected(self):
-        with pytest.raises(ValueError, match="duplicate fields"):
-            StatsSchema("dup", fields=("a", "a"))
-
     def test_derived_must_reference_declared_fields(self):
-        with pytest.raises(ValueError, match="undeclared fields"):
-            StatsSchema(
-                "bad", fields=("total",), derived=(WeightedAverage("avg", "total", "n"),)
-            )
+        @dataclass
+        class Typo(StatsStruct):
+            RATIOS = (WeightedAverage("avg", "total", "n"),)
 
-    def test_derived_name_collision_rejected(self):
-        with pytest.raises(ValueError, match="collides"):
-            StatsSchema(
-                "bad2",
-                fields=("total", "n"),
-                derived=(WeightedAverage("total", "total", "n"),),
-            )
+            total: int = 0
+
+        with pytest.raises(KeyError, match="n"):
+            Typo().as_dict()
 
 
 class TestMergeSemantics:
     def test_sum_and_max(self):
-        schema = StatsSchema(
-            "local", fields=(StatField("count"), StatField("peak", merge=MAX))
-        )
-        merged = schema.merge(
+        merged = Peak.merge_dicts(
             [{"count": 2, "peak": 5}, {"count": 3, "peak": 4}, {"count": 1, "peak": 9}]
         )
         assert merged == {"count": 6, "peak": 9}
 
     def test_weighted_average_recomputed_from_totals(self):
-        schema = StatsSchema(
-            "avg",
-            fields=("total_latency", "served"),
-            derived=(WeightedAverage("average_latency", "total_latency", "served"),),
-        )
         # Channel A: 10 requests at 100; channel B: 1 request at 10.
-        merged = schema.merge(
+        merged = Latency.merge_dicts(
             [
                 {"total_latency": 1000, "served": 10, "average_latency": 100.0},
                 {"total_latency": 10, "served": 1, "average_latency": 10.0},
@@ -81,57 +70,57 @@ class TestMergeSemantics:
         assert merged["average_latency"] == pytest.approx(1010 / 11)
 
     def test_zero_denominator_yields_zero(self):
-        schema = StatsSchema(
-            "avg0",
-            fields=("total", "n"),
-            derived=(WeightedAverage("avg", "total", "n"),),
-        )
-        assert schema.merge([{"total": 0, "n": 0}])["avg"] == 0.0
+        merged = Latency.merge_dicts([{"total_latency": 0, "served": 0}])
+        assert merged["average_latency"] == 0.0
 
-    def test_unknown_keys_summed(self):
-        schema = StatsSchema("known", fields=("a",))
-        merged = schema.merge([{"a": 1, "extra": 2}, {"a": 2, "extra": 3}])
-        assert merged == {"a": 3, "extra": 5}
+    def test_undeclared_key_is_an_error(self):
+        with pytest.raises(KeyError, match="extra"):
+            Peak.merge_dicts([{"count": 1, "extra": 2}])
+
+    def test_partial_payloads_merge(self):
+        merged = DeviceStats.merge_dicts([{"reads": 1}, {"reads": 2}])
+        assert merged["reads"] == 3 and merged["writes"] == 0
 
     def test_merge_of_empty_iterable_is_zero(self):
-        schema = StatsSchema("empty", fields=("a", "b"))
-        assert schema.merge([]) == {"a": 0, "b": 0}
+        assert Peak.merge_dicts([]) == {"count": 0, "peak": 0}
 
     def test_diff(self):
-        schema = StatsSchema(
-            "d",
-            fields=("total", "n"),
-            derived=(WeightedAverage("avg", "total", "n"),),
+        delta = Latency.diff(
+            {"total_latency": 30, "served": 3}, {"total_latency": 10, "served": 1}
         )
-        delta = schema.diff({"total": 30, "n": 3}, {"total": 10, "n": 1})
-        assert delta == {"total": 20, "n": 2, "avg": 10.0}
-
-
-class TestRegistry:
-    def test_every_holder_registered(self):
-        assert set(schema_names()) >= {
-            "channel",
-            "controller",
-            "core",
-            "device",
-            "executor",
-            "refresh",
-        }
-
-    def test_unknown_schema_lists_choices(self):
-        with pytest.raises(KeyError, match="controller"):
-            get_schema("nonexistent")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_schema(StatsSchema("controller", fields=("x",)))
-
-    def test_merge_stats_by_name(self):
-        merged = merge_stats("device", [{"reads": 1}, {"reads": 2}])
-        assert merged["reads"] == 3 and merged["writes"] == 0
+        assert delta == {"total_latency": 20, "served": 2, "average_latency": 10.0}
 
 
 class TestHolderSchemas:
+    def test_every_stats_struct_declares_its_fields_once(self):
+        """The dataclass is the whole declaration: ``as_dict`` is exactly
+        its fields plus its ratios, every ratio reads declared fields, and
+        ``reset`` restores every field's default."""
+        structs = {
+            cls
+            for cls in StatsStruct.__subclasses__()
+            if cls.__module__.startswith("repro.")
+        }
+        assert structs >= {
+            ChannelStats,
+            ControllerStats,
+            CoreStats,
+            DeviceStats,
+            EpochStats,
+            ExecutorStats,
+            RefreshStats,
+        }
+        for cls in structs:
+            names = [f.name for f in dataclasses.fields(cls)]
+            ratios = [ratio.name for ratio in cls.RATIOS]
+            assert list(cls().as_dict()) == names + ratios, cls.__name__
+            for ratio in cls.RATIOS:
+                assert {ratio.total, ratio.count} <= set(names), ratio
+                assert ratio.name not in names, ratio
+            stats = cls(**dict.fromkeys(names, 7))
+            stats.reset()
+            assert stats == cls(), cls.__name__
+
     def test_as_dict_covers_every_dataclass_field(self):
         for holder in (
             ControllerStats(),
@@ -141,8 +130,6 @@ class TestHolderSchemas:
             CoreStats(),
             ExecutorStats(),
         ):
-            import dataclasses
-
             payload = holder.as_dict()
             for field in dataclasses.fields(holder):
                 assert field.name in payload, (
@@ -197,7 +184,7 @@ class TestSimulationIntegration:
             stats["total_read_latency"] / stats["served_reads"]
         )
         # The per-channel averages must reproduce the merged value when
-        # recombined — and their plain sum must not (the pre-registry bug).
+        # recombined — and their plain sum must not (the sum-of-averages bug).
         per_channel = [c.stats for c in simulator.memory.controllers]
         assert sum(c.served_reads for c in per_channel) == stats["served_reads"]
         summed_averages = sum(c.average_read_latency for c in per_channel)
