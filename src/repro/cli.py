@@ -44,6 +44,7 @@ from pathlib import Path
 from typing import Optional, TextIO
 
 from repro.config.controller_config import PAGE_POLICIES, PAGE_POLICY_DESCRIPTIONS
+from repro.config.serialize import canonical
 from repro.controller.policies import scheduler_descriptions, scheduler_names
 from repro.engine.executor import JobExecutor, ParallelExecutor, SerialExecutor
 from repro.engine.progress import SOURCE_SIMULATED, JobEvent, ProgressPrinter
@@ -62,19 +63,15 @@ from repro.sweep import (
 )
 
 
-def _to_jsonable(value: object) -> object:
-    """Recursively convert experiment output to JSON-compatible data."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _to_jsonable(dataclasses.asdict(value))
-    if isinstance(value, dict):
-        return {str(key): _to_jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_to_jsonable(item) for item in value]
-    return value
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
@@ -116,7 +113,7 @@ def _nonnegative_float(text: str) -> float:
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return value
@@ -825,7 +822,7 @@ def _run_command(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> in
     runner = _build_runner(args, stderr)
     result = EXPERIMENTS[args.experiment].run(runner, _build_scale(args))
 
-    payload = json.dumps(_to_jsonable(result), indent=2, sort_keys=True)
+    payload = json.dumps(canonical(result), indent=2, sort_keys=True)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(payload + "\n")
@@ -1027,7 +1024,7 @@ def _trace_command(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> 
             )
     if args.json:
         out = payloads[0] if len(payloads) == 1 else payloads
-        stdout.write(json.dumps(_to_jsonable(out), indent=2, sort_keys=True) + "\n")
+        stdout.write(json.dumps(canonical(out), indent=2, sort_keys=True) + "\n")
     return 1 if failures else 0
 
 

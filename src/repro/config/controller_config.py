@@ -76,21 +76,3 @@ class ControllerConfig:
         from repro.controller.policies import scheduler_class
 
         scheduler_class(self.scheduler)
-
-    @property
-    def closed_row(self) -> bool:
-        """Whether the closed-row page policy is in force (compatibility)."""
-        return self.page_policy == "closed"
-
-    def to_dict(self) -> dict:
-        """JSON-compatible representation (see :meth:`from_dict`)."""
-        from repro.config.serialize import to_plain
-
-        return to_plain(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ControllerConfig":
-        """Inverse of :meth:`to_dict`; unknown keys are an error."""
-        from repro.config.serialize import from_plain
-
-        return from_plain(cls, data)

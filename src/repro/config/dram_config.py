@@ -82,10 +82,6 @@ class DRAMOrganization:
         """Rows contained in one subarray group."""
         return self.rows_per_bank // self.subarrays_per_bank
 
-    @property
-    def banks_per_channel(self) -> int:
-        return self.ranks_per_channel * self.banks_per_rank
-
     def capacity_bytes(self) -> int:
         """Total addressable capacity of the DRAM system."""
         return (

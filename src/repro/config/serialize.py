@@ -1,15 +1,18 @@
 """Dict serialization for plain dataclass records.
 
-The configuration tree, the workload and benchmark specs and the result
-records (:class:`~repro.sim.results.SimulationResult`, the sweep cells) are
-plain dataclasses whose fields are primitives, nested dataclasses, lists
-or tuples of dataclasses, flat dicts and the
-:class:`~repro.config.refresh_config.RefreshMechanism` enum.  These two
+The configuration tree, the workload and benchmark specs, the sweep spec
+(:class:`~repro.sweep.spec.SweepSpec` with its axes and workload set), the
+energy breakdown (:class:`~repro.power.dram_power.EnergyBreakdown`) and the
+result records (:class:`~repro.sim.results.SimulationResult`, the sweep
+cells) are plain dataclasses whose fields are primitives, nested
+dataclasses, lists or tuples of dataclasses, flat dicts and the
+:class:`~repro.config.refresh_config.RefreshMechanism` enum.  These
 helpers give every one of them a JSON-compatible ``to_dict``/``from_dict``
 pair without hand-maintaining field lists: ``to_plain`` walks dataclasses
-and enums down to primitives, and ``from_plain`` rebuilds the tree from
-type hints, re-running each dataclass's ``__post_init__`` validation on
-the way up.
+and enums down to primitives, ``from_plain`` rebuilds the tree from type
+hints, re-running each dataclass's ``__post_init__`` validation on the way
+up, and ``canonical`` is the one JSON form every emitted experiment
+result is written in.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import json
 import typing
 
 
@@ -52,6 +56,23 @@ def to_plain(value: object) -> object:
     return value
 
 
+def canonical(value: object) -> object:
+    """:func:`to_plain` output as JSON hands it back: dict keys become
+    strings and tuples lists, so it compares equal to a parsed document."""
+    return json.loads(json.dumps(to_plain(value), sort_keys=True))
+
+
+class _ShapeError(Exception):
+    """A plain value does not have its field's shape; :func:`from_plain`
+    re-raises it as the caller's error class."""
+
+
+def _expect(value, kinds: tuple[type, ...], expected: str):
+    if not isinstance(value, kinds):
+        raise _ShapeError(f"expects {expected}, got {type(value).__name__}")
+    return value
+
+
 def _as_float(value):
     # JSON gives 64 where a preset says 64.0; a float field must not hold
     # an int, or equal configs would serialize (and key) differently.
@@ -62,18 +83,22 @@ def _decoder(target) -> typing.Optional[typing.Callable]:
     """How a plain value of annotated type ``target`` is rebuilt, or
     None when it is used as is."""
     if dataclasses.is_dataclass(target):
-        return functools.partial(from_plain, target)
+        return functools.partial(_decode, target)
     if target is float:
         return _as_float
     if isinstance(target, type) and issubclass(target, enum.Enum):
         return target
-    origin = typing.get_origin(target)
-    if target is dict or origin is dict:
-        return dict
+    origin = typing.get_origin(target) or target
+    if origin is dict:
+        return lambda value: dict(_expect(value, (dict,), "an object"))
     if origin in (list, tuple):
-        item = _decoder(typing.get_args(target)[0])
-        if item is not None:
-            return lambda items: origin(item(x) for x in items)
+        args = typing.get_args(target)
+        item = _decoder(args[0]) if args else None
+        if item is None:
+            return lambda items: origin(_expect(items, (list, tuple), "a list"))
+        return lambda items: origin(
+            item(x) for x in _expect(items, (list, tuple), "a list")
+        )
     return None
 
 
@@ -88,6 +113,17 @@ def _decoders(cls: type) -> dict[str, typing.Optional[typing.Callable]]:
     return {name: _decoder(hints[name]) for name in _field_names(cls)}
 
 
+@functools.cache
+def _required(cls: type) -> tuple[str, ...]:
+    """Fields of a dataclass type that have no default."""
+    return tuple(
+        field.name
+        for field in dataclasses.fields(cls)
+        if field.default is dataclasses.MISSING
+        and field.default_factory is dataclasses.MISSING
+    )
+
+
 def store_floats(record) -> None:
     """Store each int given for a float-annotated field of a frozen
     dataclass as a float (call from ``__post_init__``), so presets, sweep
@@ -98,23 +134,45 @@ def store_floats(record) -> None:
             object.__setattr__(record, name, _as_float(getattr(record, name)))
 
 
-def from_plain(cls: type, data: dict):
-    """Rebuild a dataclass from :func:`to_plain` output.
-
-    Unknown keys are an error (a typo'd key would otherwise silently fall
-    back to the field default and configure a different system than the
-    author intended); missing keys keep their defaults.
-    """
+def _decode(cls: type, data):
     if not isinstance(data, dict):
-        raise ValueError(
-            f"{cls.__name__} expects a mapping, got {type(data).__name__}"
+        raise _ShapeError(
+            f"{cls.__name__} expects an object, got {type(data).__name__}"
         )
     decoders = _decoders(cls)
     unknown = sorted(data.keys() - decoders.keys())
     if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+        raise _ShapeError(
+            f"unknown {cls.__name__} keys: {', '.join(unknown)}; "
+            f"expected only: {', '.join(sorted(decoders))}"
+        )
+    missing = [name for name in _required(cls) if name not in data]
+    if missing:
+        raise _ShapeError(
+            f"{cls.__name__} is missing required keys: {', '.join(missing)}"
+        )
     kwargs = {}
     for name, value in data.items():
         decode = decoders[name]
-        kwargs[name] = value if decode is None else decode(value)
+        if decode is not None:
+            try:
+                value = decode(value)
+            except _ShapeError as error:
+                raise _ShapeError(f"{cls.__name__}.{name}: {error}") from None
+        kwargs[name] = value
     return cls(**kwargs)
+
+
+def from_plain(cls: type, data: dict, error: type[Exception] = ValueError):
+    """Rebuild a dataclass from :func:`to_plain` output.
+
+    Unknown keys are an error (a typo'd key would otherwise silently fall
+    back to the field default and configure a different system than the
+    author intended), as are missing required keys and a list, object or
+    nested record given a value of another shape; each raises ``error``
+    naming the key.  Missing optional keys keep their defaults.
+    """
+    try:
+        return _decode(cls, data)
+    except _ShapeError as problem:
+        raise error(str(problem)) from None

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config.dram_config import DRAMConfig
+from repro.config.serialize import to_plain
 from repro.dram.device import DeviceStats
 from repro.power.idd import MICRON_8GB_DDR3, IDDValues
 
@@ -50,13 +51,10 @@ class EnergyBreakdown:
         return self.total_nj / self.accesses
 
     def as_dict(self) -> dict:
+        """The plain form plus the two derived values."""
         return {
-            "background_nj": self.background_nj,
-            "activation_nj": self.activation_nj,
-            "read_write_nj": self.read_write_nj,
-            "refresh_nj": self.refresh_nj,
+            **to_plain(self),
             "total_nj": self.total_nj,
-            "accesses": self.accesses,
             "energy_per_access_nj": self.energy_per_access_nj,
         }
 

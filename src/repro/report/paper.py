@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.analysis.model import Table
+from repro.config.serialize import canonical
 from repro.report.plot import render_chart
 from repro.sim.experiments import ExperimentScale, default_scale
 from repro.sim.registry import EXPERIMENTS, Experiment
@@ -59,19 +60,6 @@ GOLDEN_FIXTURES = {
 
 class ReportError(ValueError):
     """A report request or input document is malformed."""
-
-
-def canonical(payload: object) -> object:
-    """JSON round trip: int keys become strings, tuples become lists."""
-    return json.loads(json.dumps(payload, sort_keys=True, default=_jsonable))
-
-
-def _jsonable(value: object) -> object:
-    import dataclasses
-
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return dataclasses.asdict(value)
-    raise TypeError(f"not JSON-serializable: {value!r}")
 
 
 def golden_dir() -> Optional[Path]:

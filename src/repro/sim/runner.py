@@ -360,24 +360,10 @@ class ExperimentRunner:
 
     def summary(self) -> dict:
         """Counters for run reporting: where every planned job came from."""
-        stats = self.executor.stats
-        return {
-            "jobs": stats.jobs + self.memory_hits,
-            "memory_hits": self.memory_hits,
-            "store_hits": stats.store_hits,
-            "simulated": stats.simulated,
-            "elapsed_s": stats.elapsed_s,
-            "shards": stats.shards,
-            "steals": stats.steals,
-            "retries": stats.retries,
-            "timeouts": stats.timeouts,
-            "worker_failures": stats.worker_failures,
-            "remote_workers": stats.remote_workers,
-            "bytes_sent": stats.bytes_sent,
-            "bytes_received": stats.bytes_received,
-            "reassignments": stats.reassignments,
-            "calibrated_jobs": stats.calibrated_jobs,
-        }
+        summary = self.executor.stats.as_dict()
+        summary["jobs"] += self.memory_hits
+        summary["memory_hits"] = self.memory_hits
+        return summary
 
 
 # -- module-level conveniences ------------------------------------------------------

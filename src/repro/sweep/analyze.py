@@ -38,15 +38,6 @@ class ConfigSummary:
     #: and strictly better on one.
     on_frontier: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "point": dict(self.point),
-            "mechanism": self.mechanism,
-            "weighted_speedup": self.weighted_speedup,
-            "energy_per_access_nj": self.energy_per_access_nj,
-            "on_frontier": self.on_frontier,
-        }
-
 
 def _mean(values: list[float]) -> float:
     return sum(values) / len(values)

@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.config.refresh_config import RefreshMechanism
+from repro.config.serialize import from_plain, to_plain
 from repro.workloads.mixes import INTENSITY_CATEGORIES
 
 #: Axis names applied as :func:`~repro.config.presets.paper_system` keywords.
@@ -78,18 +79,6 @@ class Axis:
             raise SpecError(f"axis {self.name!r} has no values")
         object.__setattr__(self, "values", tuple(self.values))
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "values": list(self.values)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Axis":
-        try:
-            return cls(name=data["name"], values=tuple(data["values"]))
-        except KeyError as missing:
-            raise SpecError(
-                f"axis entry {data!r} is missing its {missing.args[0]!r} key"
-            ) from None
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -129,30 +118,6 @@ class WorkloadSpec:
         if not self.categories:
             raise SpecError("a category_sweep needs at least one category")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "count": self.count,
-            "num_cores": self.num_cores,
-            "seed": self.seed,
-            "categories": list(self.categories),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorkloadSpec":
-        unknown = sorted(
-            set(data) - {"kind", "count", "num_cores", "seed", "categories"},
-        )
-        if unknown:
-            raise SpecError(f"unknown workload keys: {', '.join(unknown)}")
-        return cls(
-            kind=data.get("kind", "intensive"),
-            count=data.get("count", 2),
-            num_cores=data.get("num_cores", 8),
-            seed=data.get("seed", 0),
-            categories=tuple(data.get("categories", INTENSITY_CATEGORIES)),
-        )
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -170,7 +135,7 @@ class SweepSpec:
         Refresh mechanisms compared at every design point.
     baseline:
         The mechanism improvements are normalized to; must be one of
-        ``mechanisms``.
+        ``mechanisms``.  Empty (the default) means the first mechanism.
     base:
         Fixed configuration knobs shared by every point (same keys as the
         axes); an axis value overrides a ``base`` entry of the same name.
@@ -181,7 +146,7 @@ class SweepSpec:
     name: str
     axes: tuple[Axis, ...]
     mechanisms: tuple[str, ...] = ("refpb", "sarppb")
-    baseline: str = "refpb"
+    baseline: str = ""
     expansion: str = "grid"
     base: dict = field(default_factory=dict)
     workloads: WorkloadSpec = field(default_factory=WorkloadSpec)
@@ -190,9 +155,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise SpecError("a sweep spec needs a non-empty name")
-        object.__setattr__(
-            self, "axes", tuple(a if isinstance(a, Axis) else Axis(**a) for a in self.axes)
-        )
+        object.__setattr__(self, "axes", tuple(self.axes))
         if not self.axes:
             raise SpecError("a sweep spec needs at least one axis")
         names = [axis.name for axis in self.axes]
@@ -222,6 +185,8 @@ class SweepSpec:
                 raise SpecError(
                     f"unknown mechanism {mechanism!r}; expected one of {valid}"
                 ) from None
+        if not self.baseline:
+            object.__setattr__(self, "baseline", self.mechanisms[0])
         if self.baseline not in self.mechanisms:
             raise SpecError(
                 f"baseline {self.baseline!r} is not among the swept mechanisms "
@@ -257,61 +222,13 @@ class SweepSpec:
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "expansion": self.expansion,
-            "axes": [axis.to_dict() for axis in self.axes],
-            "mechanisms": list(self.mechanisms),
-            "baseline": self.baseline,
-            "base": dict(self.base),
-            "workloads": self.workloads.to_dict(),
-        }
+        return to_plain(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
-        known_keys = {
-            "name",
-            "description",
-            "expansion",
-            "axes",
-            "mechanisms",
-            "baseline",
-            "base",
-            "workloads",
-        }
-        unknown = sorted(set(data) - known_keys)
-        if unknown:
-            # A typo'd key would otherwise silently fall back to defaults
-            # and run a different sweep than the author intended.
-            raise SpecError(
-                f"unknown spec keys: {', '.join(unknown)}; "
-                f"expected only: {', '.join(sorted(known_keys))}"
-            )
-        try:
-            raw_axes = data["axes"]
-        except KeyError:
-            raise SpecError("a sweep spec needs an 'axes' list") from None
-        axes = tuple(Axis.from_dict(axis) for axis in raw_axes)
-        workloads = data.get("workloads", {})
-        if not isinstance(workloads, dict):
-            raise SpecError(
-                f"'workloads' must be an object, got {type(workloads).__name__}"
-            )
-        workloads = WorkloadSpec.from_dict(workloads)
-        mechanisms = tuple(data.get("mechanisms", ("refpb", "sarppb")))
-        if not mechanisms:
-            raise SpecError("a sweep spec needs at least one mechanism")
-        return cls(
-            name=data.get("name", ""),
-            description=data.get("description", ""),
-            expansion=data.get("expansion", "grid"),
-            axes=axes,
-            mechanisms=mechanisms,
-            baseline=data.get("baseline", mechanisms[0]),
-            base=dict(data.get("base", {})),
-            workloads=workloads,
-        )
+        """Inverse of :meth:`to_dict`; a malformed spec raises
+        :class:`SpecError` naming the offending key."""
+        return from_plain(cls, data, SpecError)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

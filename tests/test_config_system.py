@@ -16,7 +16,6 @@ class TestControllerConfig:
         assert config.read_queue_entries == 64
         assert config.write_queue_entries == 64
         assert config.write_low_watermark == 32
-        assert config.closed_row is True
 
     def test_watermark_validation(self):
         with pytest.raises(ValueError):

@@ -185,6 +185,15 @@ class TestResilienceFlags:
             run_cli(["run", "figure5", *flags])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--cycles", "--warmup"])
+    def test_non_integer_window_says_what_was_expected(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["run", "figure5", flag, "abc"])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: expected an integer, got 'abc'" in (
+            capsys.readouterr().err
+        )
+
     def test_store_rerun_replays_from_store(self, tmp_path):
         # Resuming a killed or partial run is a plain rerun against the
         # same store: completed jobs replay, only missing ones simulate.

@@ -130,6 +130,24 @@ class TestPowerModel:
         assert breakdown.accesses == 500
         assert breakdown.energy_per_access_nj == pytest.approx(breakdown.total_nj / 500)
 
+    def test_plain_form_keeps_fields_and_derived_values(self):
+        model = DRAMPowerModel(DRAMConfig.for_density(8))
+        breakdown = model.energy(self.make_stats(reads=400, writes=100), 10000)
+        plain = breakdown.as_dict()
+        assert set(plain) == {
+            "background_nj",
+            "activation_nj",
+            "read_write_nj",
+            "refresh_nj",
+            "total_nj",
+            "accesses",
+            "energy_per_access_nj",
+        }
+        assert plain["accesses"] == 500
+        assert plain["background_nj"] == breakdown.background_nj
+        assert plain["total_nj"] == breakdown.total_nj
+        assert plain["energy_per_access_nj"] == breakdown.total_nj / 500
+
     def test_zero_accesses(self):
         model = DRAMPowerModel(DRAMConfig.for_density(8))
         breakdown = model.energy(DeviceStats(), 1000)

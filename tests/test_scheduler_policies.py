@@ -93,10 +93,6 @@ class TestConfigThreading:
         with pytest.raises(ValueError, match="row_hit_cap"):
             ControllerConfig(row_hit_cap=0)
 
-    def test_closed_row_compatibility_property(self):
-        assert ControllerConfig().closed_row is True
-        assert ControllerConfig(page_policy="open").closed_row is False
-
     def test_with_helpers(self):
         config = paper_system()
         assert config.controller.scheduler == "frfcfs"

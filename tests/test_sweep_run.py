@@ -274,6 +274,25 @@ class TestSweepCli:
         assert "simulated" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"axes": 5}, "SweepSpec.axes"),
+            ({"axes": ["density_gb"]}, "SweepSpec.axes"),
+            ({"axes": [{"name": "density_gb", "values": 8}]}, "Axis.values"),
+            ({"mechanisms": "refab"}, "SweepSpec.mechanisms"),
+        ],
+        ids=["axes-number", "axes-of-names", "values-number", "mechanisms-string"],
+    )
+    def test_badly_shaped_spec_is_a_usage_error(self, tmp_path, fields, named):
+        spec = {"name": "bad", "axes": [{"name": "density_gb", "values": [8]}]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**spec, **fields}))
+        code, _, err = self.run_cli(["sweep", str(path), "--dry-run"])
+        assert code == 2
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err
+
     def test_sweep_accepts_a_run_directory(self, tmp_path):
         # Run directories advertise themselves as re-runnable: pointing
         # the CLI at one must pick up its spec.json.

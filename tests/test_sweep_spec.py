@@ -1,10 +1,14 @@
 """Tests for sweep spec construction, validation and compilation."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.config.presets import paper_system
+from repro.sim.experiments import ExperimentScale
+from repro.sim.registry import builtin_specs
 from repro.sweep import (
     Axis,
     SpecError,
@@ -18,6 +22,35 @@ from repro.sweep import (
 )
 
 from tests.conftest import job_key
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+#: sha256 prefixes of each shipped spec's ``to_json()`` text (built-ins at
+#: the default scale, then ``examples/*.json``): a codec change must not
+#: move a single byte of a spec file or of a run directory's spec.json.
+SPEC_JSON_DIGESTS = {
+    "dsarp_additivity": "11e56cccff9c4fb9",
+    "figure12_workload_sweep": "a4db6db212fb8010",
+    "figure13_all_mechanisms": "b9d405a9a67462ba",
+    "figure14_energy_per_access": "6bdcf37a1cdb91b0",
+    "figure15_memory_intensity": "9017ca4fa489d24a",
+    "figure16_fgr_comparison": "0a83af595d191f05",
+    "figure6_refab_performance_loss": "b5ea985432763e60",
+    "figure7_refab_vs_refpb_loss": "c72a0e1013824d7a",
+    "table3_core_count": "b9b1ff4a5ba195c2",
+    "table4_tfaw_sensitivity": "6e4e69a72b9c80bb",
+    "table5_subarray_sensitivity": "bc8616facc2e8935",
+    "table6_refresh_interval": "a0e45c9020d310b9",
+    "scheduler_sweep.json": "d12cc426d846a71e",
+    "sweep_spec.json": "976f838616d84ebe",
+}
+
+
+def shipped_specs() -> dict[str, SweepSpec]:
+    specs = dict(builtin_specs(ExperimentScale()))
+    for path in sorted(EXAMPLES.glob("*.json")):
+        specs[path.name] = SweepSpec.load(path)
+    return specs
 
 
 def two_axis_spec(**overrides) -> SweepSpec:
@@ -139,6 +172,23 @@ class TestSerialization:
         with pytest.raises(SpecError, match="axes"):
             SweepSpec.from_json(json.dumps({"name": "x"}))
 
+    @pytest.mark.parametrize("name", sorted(SPEC_JSON_DIGESTS))
+    def test_shipped_specs_round_trip(self, name):
+        spec = shipped_specs()[name]
+        assert SweepSpec.from_json(spec.to_json()) == spec
+
+    def test_shipped_spec_json_is_pinned(self):
+        digests = {
+            name: hashlib.sha256(spec.to_json().encode("utf-8")).hexdigest()[:16]
+            for name, spec in shipped_specs().items()
+        }
+        assert digests == SPEC_JSON_DIGESTS
+
+    def test_missing_baseline_is_the_first_mechanism(self):
+        data = two_axis_spec(mechanisms=("sarppb", "refpb")).to_dict()
+        del data["baseline"]
+        assert SweepSpec.from_dict(data).baseline == "sarppb"
+
     def test_empty_mechanisms_rejected_cleanly(self):
         data = two_axis_spec().to_dict()
         data["mechanisms"] = []
@@ -148,25 +198,25 @@ class TestSerialization:
     def test_unknown_spec_keys_rejected(self):
         data = two_axis_spec().to_dict()
         data["mechanism"] = ["refab", "dsarp"]  # typo'd key must not be ignored
-        with pytest.raises(SpecError, match="unknown spec keys: mechanism"):
+        with pytest.raises(SpecError, match="unknown SweepSpec keys: mechanism"):
             SweepSpec.from_json(json.dumps(data))
 
     def test_unknown_workload_keys_rejected(self):
         data = two_axis_spec().to_dict()
         data["workloads"]["cores"] = 4
-        with pytest.raises(SpecError, match="unknown workload keys: cores"):
+        with pytest.raises(SpecError, match="unknown WorkloadSpec keys: cores"):
             SweepSpec.from_json(json.dumps(data))
 
     def test_non_dict_workloads_rejected(self):
         data = two_axis_spec().to_dict()
         data["workloads"] = "intensive"
-        with pytest.raises(SpecError, match="'workloads' must be an object"):
+        with pytest.raises(SpecError, match="SweepSpec.workloads: WorkloadSpec expects an object"):
             SweepSpec.from_json(json.dumps(data))
 
     def test_malformed_axis_entry_names_the_missing_key(self):
         data = two_axis_spec().to_dict()
         data["axes"] = [{"values": [10]}]
-        with pytest.raises(SpecError, match="missing its 'name' key"):
+        with pytest.raises(SpecError, match="Axis is missing required keys: name"):
             SweepSpec.from_json(json.dumps(data))
 
     def test_with_axis_values(self):
