@@ -44,13 +44,14 @@ import os
 import platform
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from time import perf_counter
 from typing import Optional, Sequence, TextIO
 
-from repro.bench.spec import TIERS, BenchError, BenchSpec
+from repro.bench.spec import BenchError, BenchSpec, Tier
+from repro.config.serialize import check_fields, from_plain, to_plain
 from repro.sim.experiments import ExperimentScale, default_scale
 from repro.sim.runner import ExperimentRunner
 from repro.version import __version__
@@ -138,75 +139,33 @@ class BenchContext:
         return self.runner.warmup
 
 
-def _float_dict(raw: dict, what: str, name: str) -> dict:
-    """Validate a metrics/timings mapping: string keys, numeric values."""
-    clean = {}
-    for key, value in raw.items():
-        if not isinstance(key, str):
-            raise BenchError(f"benchmark {name!r}: {what} key {key!r} is not a string")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise BenchError(
-                f"benchmark {name!r}: {what}[{key!r}] is not a number: {value!r}"
-            )
-        clean[key] = float(value)
-    return clean
-
-
 @dataclass
 class BenchRecord:
     """One benchmark's measurements inside a :class:`BenchDocument`."""
 
     name: str
-    tier: str
+    tier: Tier
     wall_clock_s: float
     checks_passed: bool = True
     error: Optional[str] = None
     max_regression: Optional[float] = None
     engine: dict = field(default_factory=dict)
-    metrics: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
+    metrics: dict[str, float] = field(default_factory=dict)
+    timings: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        check_fields(self, BenchError)
+        if self.wall_clock_s < 0:
+            raise BenchError(
+                f"benchmark {self.name!r} has negative wall_clock_s {self.wall_clock_s}"
+            )
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "tier": self.tier,
-            "wall_clock_s": self.wall_clock_s,
-            "checks_passed": self.checks_passed,
-            "error": self.error,
-            "max_regression": self.max_regression,
-            "engine": dict(self.engine),
-            "metrics": dict(self.metrics),
-            "timings": dict(self.timings),
-        }
+        return to_plain(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "BenchRecord":
-        if not isinstance(data, dict):
-            raise BenchError(f"benchmark record must be an object, got {data!r}")
-        try:
-            name = data["name"]
-            tier = data["tier"]
-            wall = data["wall_clock_s"]
-        except KeyError as missing:
-            raise BenchError(
-                f"benchmark record {data.get('name', '<unnamed>')!r} is missing "
-                f"its {missing.args[0]!r} key"
-            ) from None
-        if tier not in TIERS:
-            raise BenchError(f"benchmark {name!r} has unknown tier {tier!r}")
-        if isinstance(wall, bool) or not isinstance(wall, (int, float)) or wall < 0:
-            raise BenchError(f"benchmark {name!r} has invalid wall_clock_s {wall!r}")
-        return cls(
-            name=name,
-            tier=tier,
-            wall_clock_s=float(wall),
-            checks_passed=bool(data.get("checks_passed", True)),
-            error=data.get("error"),
-            max_regression=data.get("max_regression"),
-            engine=dict(data.get("engine", {})),
-            metrics=_float_dict(dict(data.get("metrics", {})), "metrics", name),
-            timings=_float_dict(dict(data.get("timings", {})), "timings", name),
-        )
+        return from_plain(cls, data, BenchError)
 
 
 @dataclass
@@ -362,11 +321,10 @@ def run_specs(
             # a spec whose payload shape changed records its own failure
             # instead of aborting the run and losing the document.
             try:
-                record.metrics = _float_dict(
-                    spec.metrics(payload) if spec.metrics else {}, "metrics", spec.name
-                )
-                record.timings = _float_dict(
-                    spec.timings(payload) if spec.timings else {}, "timings", spec.name
+                record = replace(
+                    record,
+                    metrics=spec.metrics(payload) if spec.metrics else {},
+                    timings=spec.timings(payload) if spec.timings else {},
                 )
                 if spec.format is not None and text_dir is not None:
                     text_dir.mkdir(parents=True, exist_ok=True)

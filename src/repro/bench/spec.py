@@ -24,14 +24,15 @@ Specs are registered in a process-wide registry; the standard suite in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Literal, Optional, get_args
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.bench.run import BenchContext
 
 #: Benchmark tiers, cheapest first.  ``repro bench run --tier quick`` runs
 #: the quick specs only; ``--tier full`` runs every registered spec.
-TIERS: tuple[str, ...] = ("quick", "full")
+Tier = Literal["quick", "full"]
+TIERS: tuple[str, ...] = get_args(Tier)
 
 
 class BenchError(ValueError):

@@ -44,7 +44,9 @@ from pathlib import Path
 from typing import Optional, TextIO
 
 from repro.config.controller_config import PAGE_POLICIES, PAGE_POLICY_DESCRIPTIONS
+from repro.config.obs_config import ObsConfig
 from repro.config.serialize import canonical
+from repro.config.system import SystemConfig
 from repro.controller.policies import scheduler_descriptions, scheduler_names
 from repro.engine.executor import JobExecutor, ParallelExecutor, SerialExecutor
 from repro.engine.progress import SOURCE_SIMULATED, JobEvent, ProgressPrinter
@@ -233,7 +235,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--kernel",
-        choices=("event", "cycle"),
+        choices=SystemConfig.KERNELS,
         default=None,
         help=(
             "execution kernel: 'event' skips provably idle cycles in one "
@@ -276,7 +278,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--trace-format",
-        choices=("jsonl", "binary"),
+        choices=ObsConfig.TRACE_FORMATS,
         default="jsonl",
         help="on-disk trace format (default: jsonl)",
     )
@@ -750,8 +752,6 @@ def _build_runner(
         executor = SerialExecutor()
     obs = None
     if getattr(args, "trace", None) or getattr(args, "epoch_interval", None):
-        from repro.config.obs_config import ObsConfig
-
         obs = ObsConfig(
             trace=bool(args.trace),
             trace_dir=args.trace,

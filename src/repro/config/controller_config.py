@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal, get_args
+
+from repro.config.serialize import check_fields
 
 #: Page-management policies every scheduler honours.  Single source of
-#: truth for names and descriptions: the scheduler layer imports the
-#: constants for its column-command construction and the CLI renders the
-#: descriptions.  A new policy added here must also be given behaviour in
+#: truth for names: the scheduler layer imports the constants for its
+#: column-command construction and the CLI renders the descriptions.  A
+#: new policy added here must also be given behaviour in
 #: ``SchedulerPolicy._column_command`` (repro.controller.policies.base).
-PAGE_POLICY_CLOSED = "closed"
-PAGE_POLICY_OPEN = "open"
+PagePolicy = Literal["closed", "open"]
+PAGE_POLICIES: tuple[str, ...] = get_args(PagePolicy)
+PAGE_POLICY_CLOSED, PAGE_POLICY_OPEN = PAGE_POLICIES
 PAGE_POLICY_DESCRIPTIONS: dict[str, str] = {
     PAGE_POLICY_CLOSED: (
         "precharge as soon as no queued request hits the open row"
@@ -19,7 +23,6 @@ PAGE_POLICY_DESCRIPTIONS: dict[str, str] = {
         "keep rows open until a conflict (or row-hit cap) closes them"
     ),
 }
-PAGE_POLICIES: tuple[str, ...] = tuple(PAGE_POLICY_DESCRIPTIONS)
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,7 @@ class ControllerConfig:
     #: Registered demand-scheduling policy (see ``repro.controller.policies``).
     scheduler: str = "frfcfs"
     #: Page-management policy: ``closed`` or ``open`` (see ``PAGE_POLICIES``).
-    page_policy: str = "closed"
+    page_policy: PagePolicy = "closed"
     #: ``frfcfs-cap`` only: consecutive row hits a bank may serve before the
     #: scheduler forces the row closed.
     row_hit_cap: int = 4
@@ -56,6 +59,7 @@ class ControllerConfig:
     scheduling_window: int = 16
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.write_low_watermark >= self.write_high_watermark:
             raise ValueError(
                 "write_low_watermark must be below write_high_watermark "
@@ -63,11 +67,6 @@ class ControllerConfig:
             )
         if self.write_high_watermark > self.write_queue_entries:
             raise ValueError("write_high_watermark exceeds write queue size")
-        if self.page_policy not in PAGE_POLICIES:
-            raise ValueError(
-                f"unknown page policy {self.page_policy!r}; "
-                f"expected one of {PAGE_POLICIES}"
-            )
         if self.row_hit_cap < 1:
             raise ValueError(f"row_hit_cap must be positive, got {self.row_hit_cap}")
         # Imported lazily: the registry lives in the controller layer, which

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.config.serialize import check_fields
+
 
 @dataclass(frozen=True)
 class CPUConfig:
@@ -21,6 +23,9 @@ class CPUConfig:
     #: CPU cycles per DRAM bus cycle (4 GHz / 666 MHz).
     cpu_cycles_per_dram_cycle: int = 6
 
+    def __post_init__(self) -> None:
+        check_fields(self)
+
     @property
     def insts_per_dram_cycle(self) -> int:
         """Maximum instructions a core can retire per DRAM bus cycle."""
@@ -34,6 +39,9 @@ class CacheConfig:
     size_bytes: int = 512 * 1024
     associativity: int = 16
     line_bytes: int = 64
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
     @property
     def num_sets(self) -> int:

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Literal
 
-from repro.config.serialize import store_floats
+from repro.config.serialize import check_fields
 
 
 #: Measured all-bank refresh latencies (ns) for existing DRAM densities (Gb),
@@ -72,6 +73,9 @@ class DRAMOrganization:
     row_size_bytes: int = 8192
     cacheline_bytes: int = 64
 
+    def __post_init__(self) -> None:
+        check_fields(self)
+
     @property
     def columns_per_row(self) -> int:
         """Number of cache-line-sized columns per DRAM row."""
@@ -120,7 +124,7 @@ class DRAMTimings:
     tRFCpb: int = 102
 
     def __post_init__(self) -> None:
-        store_floats(self)
+        check_fields(self)
 
     @property
     def tRC(self) -> int:
@@ -160,10 +164,12 @@ class DRAMConfig:
     organization: DRAMOrganization = field(default_factory=DRAMOrganization)
     timings: DRAMTimings = field(default_factory=DRAMTimings)
     #: Fine-granularity refresh mode: 1 (normal), 2 or 4 (DDR4 FGR).
-    fgr_mode: int = 1
+    fgr_mode: Literal[1, 2, 4] = 1
 
     def __post_init__(self) -> None:
-        store_floats(self)
+        check_fields(self)
+        if self.density_gb < 1:
+            raise ValueError(f"density_gb must be positive (Gb), got {self.density_gb}")
 
     @classmethod
     def for_density(
@@ -182,44 +188,29 @@ class DRAMConfig:
         of 2 or 4 applies the DDR4 fine-granularity-refresh scaling of
         Section 6.5 (tREFI / mode, tRFC / 1.35 or / 1.63).
         """
-        if (
-            isinstance(density_gb, bool)
-            or not isinstance(density_gb, int)
-            or density_gb < 1
-        ):
-            raise ValueError(
-                f"density_gb must be a positive int (Gb), got {density_gb!r}"
-            )
-        org = organization or DRAMOrganization()
-        base = DRAMTimings()
-        trfc_ab_ns = projected_trfc_ns(density_gb, projection=projection)
-        trefi_ab_ns = retention_ms * 1e6 / REFRESH_COMMANDS_PER_RETENTION
-        if fgr_mode == 1:
-            pass
-        elif fgr_mode == 2:
-            trefi_ab_ns /= 2.0
-            trfc_ab_ns /= 1.35
-        elif fgr_mode == 4:
-            trefi_ab_ns /= 4.0
-            trfc_ab_ns /= 1.63
-        else:
-            raise ValueError(f"unsupported FGR mode {fgr_mode!r}; expected 1, 2 or 4")
-        trfc_ab = base.cycles(trfc_ab_ns)
-        trfc_pb = base.cycles(trfc_ab_ns / TRFC_AB_TO_PB_RATIO)
-        trefi_ab = base.cycles(trefi_ab_ns)
-        timings = replace(
-            base,
-            tRFCab=trfc_ab,
-            tRFCpb=trfc_pb,
-            tREFIab=trefi_ab,
-        )
-        return cls(
+        # Built first, so the arithmetic below sees checked values.
+        config = cls(
             density_gb=density_gb,
             retention_ms=retention_ms,
-            organization=org,
-            timings=timings,
+            organization=organization or DRAMOrganization(),
             fgr_mode=fgr_mode,
         )
+        base = config.timings
+        trfc_ab_ns = projected_trfc_ns(config.density_gb, projection=projection)
+        trefi_ab_ns = config.retention_ms * 1e6 / REFRESH_COMMANDS_PER_RETENTION
+        if config.fgr_mode == 2:
+            trefi_ab_ns /= 2.0
+            trfc_ab_ns /= 1.35
+        elif config.fgr_mode == 4:
+            trefi_ab_ns /= 4.0
+            trfc_ab_ns /= 1.63
+        timings = replace(
+            base,
+            tRFCab=base.cycles(trfc_ab_ns),
+            tRFCpb=base.cycles(trfc_ab_ns / TRFC_AB_TO_PB_RATIO),
+            tREFIab=base.cycles(trefi_ab_ns),
+        )
+        return replace(config, timings=timings)
 
     def with_subarrays(self, subarrays_per_bank: int) -> "DRAMConfig":
         """Return a copy with a different number of subarrays per bank."""

@@ -13,7 +13,11 @@ an untraced run of the same system share cached results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Literal, Optional, get_args
+
+from repro.config.serialize import check_fields
+
+TraceFormat = Literal["jsonl", "binary"]
 
 
 @dataclass(frozen=True)
@@ -30,18 +34,14 @@ class ObsConfig:
     trace: bool = False
     trace_buffer: int = 1 << 20
     trace_dir: Optional[str] = None
-    trace_format: str = "jsonl"
+    trace_format: TraceFormat = "jsonl"
     epoch_interval: int = 0
 
     #: Supported on-disk trace formats.
-    TRACE_FORMATS = ("jsonl", "binary")
+    TRACE_FORMATS = get_args(TraceFormat)
 
     def __post_init__(self) -> None:
-        if self.trace_format not in self.TRACE_FORMATS:
-            raise ValueError(
-                f"trace_format must be one of {self.TRACE_FORMATS}, "
-                f"got {self.trace_format!r}"
-            )
+        check_fields(self)
         if self.trace_buffer < 1:
             raise ValueError(f"trace_buffer must be >= 1, got {self.trace_buffer}")
         if self.epoch_interval < 0:

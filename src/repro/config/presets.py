@@ -57,8 +57,7 @@ def paper_system(
     refresh_kwargs:
         Extra options forwarded to :class:`RefreshConfig` (for ablations).
     """
-    if isinstance(mechanism, str):
-        mechanism = RefreshMechanism(mechanism)
+    refresh = RefreshConfig.for_mechanism(mechanism, **refresh_kwargs)
     organization = DRAMOrganization(
         subarrays_per_bank=subarrays_per_bank,
         rows_per_bank=rows_per_bank,
@@ -67,12 +66,12 @@ def paper_system(
         density_gb,
         retention_ms=retention_ms,
         organization=organization,
-        fgr_mode=mechanism.fgr_mode,
+        fgr_mode=refresh.mechanism.fgr_mode,
     )
     return SystemConfig(
         dram=dram,
         controller=ControllerConfig(),
         cpu=CPUConfig(num_cores=num_cores),
         cache=CacheConfig(),
-        refresh=RefreshConfig.for_mechanism(mechanism, **refresh_kwargs),
+        refresh=refresh,
     )

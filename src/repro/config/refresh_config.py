@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Literal
+
+from repro.config.serialize import check_fields
 
 
 class RefreshMechanism(str, enum.Enum):
@@ -69,6 +72,10 @@ class RefreshMechanism(str, enum.Enum):
         return 1
 
 
+#: A mechanism's name (one of the enum's values), as a field annotation.
+MechanismName = Literal[tuple(mechanism.value for mechanism in RefreshMechanism)]
+
+
 @dataclass(frozen=True)
 class RefreshConfig:
     """Options for the refresh mechanism under evaluation."""
@@ -102,13 +109,14 @@ class RefreshConfig:
     #: Seed for the random idle-bank selection in DARP (Figure 8, step 3).
     scheduler_seed: int = 1
 
+    def __post_init__(self) -> None:
+        check_fields(self)
+
     @classmethod
     def for_mechanism(
         cls,
         mechanism: RefreshMechanism | str,
         **kwargs,
     ) -> "RefreshConfig":
-        """Build a refresh configuration from a mechanism name."""
-        if isinstance(mechanism, str):
-            mechanism = RefreshMechanism(mechanism)
+        """Build a refresh configuration from a mechanism or its name."""
         return cls(mechanism=mechanism, **kwargs)

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Literal, get_args
 
 from repro.config.controller_config import ControllerConfig
 from repro.config.cpu_config import CacheConfig, CPUConfig
 from repro.config.dram_config import DRAMConfig
 from repro.config.obs_config import ObsConfig
 from repro.config.refresh_config import RefreshConfig, RefreshMechanism
+from repro.config.serialize import check_fields
+
+Kernel = Literal["event", "cycle"]
 
 
 @dataclass(frozen=True)
@@ -34,20 +38,17 @@ class SystemConfig:
     #: is the legacy tick-every-cycle loop kept as the differential
     #: reference.  Excluded from the job key on purpose — the two
     #: kernels are bit-identical, so cached results are shared.
-    kernel: str = "event"
+    kernel: Kernel = "event"
     #: Observability settings (command tracing, epoch sampling).  Like
     #: ``kernel``, excluded from the job key: observation never
     #: changes simulated results, so traced and untraced runs of the same
     #: system share cached results.
     obs: ObsConfig = field(default_factory=ObsConfig)
 
-    KERNELS = ("event", "cycle")
+    KERNELS = get_args(Kernel)
 
     def __post_init__(self) -> None:
-        if self.kernel not in self.KERNELS:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; expected one of {self.KERNELS}"
-            )
+        check_fields(self)
 
     def with_kernel(self, kernel: str) -> "SystemConfig":
         """Return a copy running on a different execution kernel."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
-from repro.config.serialize import to_plain
+from repro.config.serialize import check_fields, to_plain
 from repro.config.system import SystemConfig
 from repro.controller.policies import scheduler_class
 from repro.obs.log import get_logger
@@ -44,19 +44,12 @@ class SimulationJob:
     def __post_init__(self) -> None:
         # Jobs also arrive over the remote wire, and a malformed window
         # would otherwise simulate (and be cached under its own key)
-        # silently: a negative warmup runs as 0, a float cycle count rounds.
-        for name, low, kind in (
-            ("cycles", 1, "a positive int"),
-            ("warmup", 0, "a non-negative int"),
-            ("seed", None, "an int"),
-        ):
-            value = getattr(self, name)
-            if (
-                not isinstance(value, int)
-                or isinstance(value, bool)
-                or (low is not None and value < low)
-            ):
-                raise ValueError(f"{name} must be {kind}, got {value!r}")
+        # silently: a negative warmup runs as 0.
+        check_fields(self)
+        if self.cycles < 1:
+            raise ValueError(f"cycles must be positive, got {self.cycles}")
+        if self.warmup < 0:
+            raise ValueError(f"warmup must be non-negative, got {self.warmup}")
 
     def to_dict(self) -> dict:
         """JSON form of the job: the full configuration, the workload with

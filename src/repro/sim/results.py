@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.config.serialize import from_plain, to_plain
+from repro.config.serialize import check_fields, from_plain, to_plain
 from repro.metrics.speedup import (
     harmonic_speedup,
     maximum_slowdown,
@@ -25,6 +25,9 @@ class CoreResult:
     dram_writes: int
     stall_cycles: int
 
+    def __post_init__(self) -> None:
+        check_fields(self)
+
 
 @dataclass
 class SimulationResult:
@@ -40,6 +43,9 @@ class SimulationResult:
     controller_stats: dict
     refresh_stats: dict
     energy: dict
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
     @property
     def ipcs(self) -> list[float]:

@@ -23,12 +23,10 @@ import os
 from dataclasses import replace
 from typing import Iterable, Optional, Sequence
 
-from repro.config.controller_config import PAGE_POLICIES
 from repro.config.obs_config import ObsConfig
 from repro.config.presets import paper_system
 from repro.config.refresh_config import RefreshMechanism
 from repro.config.system import SystemConfig
-from repro.controller.policies import scheduler_class
 from repro.obs.log import get_logger
 from repro.engine.executor import JobExecutor, SerialExecutor
 from repro.engine.jobs import SimulationJob
@@ -115,20 +113,12 @@ class ExperimentRunner:
         self.executor = executor if executor is not None else SerialExecutor()
         self.store = store
         self.progress = progress
-        if kernel is not None and kernel not in SystemConfig.KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {SystemConfig.KERNELS}"
-            )
         self.kernel = kernel
-        if scheduler is not None:
-            scheduler_class(scheduler)  # unknown names fail fast, listing choices
-        if page_policy is not None and page_policy not in PAGE_POLICIES:
-            raise ValueError(
-                f"unknown page policy {page_policy!r}; expected one of {PAGE_POLICIES}"
-            )
         self.scheduler = scheduler
         self.page_policy = page_policy
         self.obs = obs
+        # Bad overrides fail fast, here, by the config's own checks.
+        self._effective_config(paper_system())
         self.memory_hits = 0
         #: (config, workload, window) -> the job planned for it, so each
         #: pair's overrides are applied and its key derived once.

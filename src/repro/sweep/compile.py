@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.config.presets import paper_system
-from repro.config.serialize import from_plain, to_plain
+from repro.config.serialize import check_fields, from_plain, to_plain
 from repro.config.system import SystemConfig
 from repro.sim.runner import ExperimentRunner, get_default_runner
 from repro.sweep.spec import (
@@ -69,9 +69,11 @@ def build_config(spec: SweepSpec, point: dict) -> SystemConfig:
     preset_kwargs = {name: knobs[name] for name in PRESET_AXES if name in knobs}
     config = paper_system(**preset_kwargs)
     if "tfaw" in knobs or "trrd" in knobs:
-        tfaw = knobs.get("tfaw", config.dram.timings.tFAW)
-        trrd = knobs.get("trrd", max(1, tfaw // 5))
-        config = replace(config, dram=config.dram.with_tfaw(tfaw, trrd))
+        # tFAW is checked before tRRD is derived from it.
+        timings = config.dram.timings
+        timings = replace(timings, tFAW=knobs.get("tfaw", timings.tFAW))
+        timings = replace(timings, tRRD=knobs.get("trrd", max(1, timings.tFAW // 5)))
+        config = replace(config, dram=replace(config.dram, timings=timings))
     controller_kwargs = {
         name: knobs[name] for name in CONTROLLER_AXES if name in knobs
     }
@@ -127,6 +129,9 @@ class SweepCell:
     #: total energy (nJ) and the number of accesses it served.
     energy_nj: float = 0.0
     accesses: int = 0
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
     def to_dict(self) -> dict:
         return to_plain(self)

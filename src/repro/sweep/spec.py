@@ -21,11 +21,11 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Literal, Sequence
 
-from repro.config.refresh_config import RefreshMechanism
-from repro.config.serialize import from_plain, to_plain
-from repro.workloads.mixes import INTENSITY_CATEGORIES
+from repro.config.refresh_config import MechanismName
+from repro.config.serialize import check_fields, from_plain, to_plain
+from repro.workloads.mixes import INTENSITY_CATEGORIES, IntensityCategory
 
 #: Axis names applied as :func:`~repro.config.presets.paper_system` keywords.
 PRESET_AXES: tuple[str, ...] = (
@@ -50,13 +50,7 @@ WORKLOAD_AXES: tuple[str, ...] = ("workload_seed",)
 KNOWN_AXES: tuple[str, ...] = (
     PRESET_AXES + TIMING_AXES + CONTROLLER_AXES + WORKLOAD_AXES
 )
-
-#: Supported expansion modes: the cross product of all axes, or a
-#: position-wise zip of equal-length axes.
-EXPANSIONS: tuple[str, ...] = ("grid", "zip")
-
-#: Supported workload-set kinds (see :class:`WorkloadSpec`).
-WORKLOAD_KINDS: tuple[str, ...] = ("intensive", "category_sweep")
+AxisName = Literal[KNOWN_AXES]
 
 
 class SpecError(ValueError):
@@ -67,17 +61,13 @@ class SpecError(ValueError):
 class Axis:
     """One named dimension of the design space."""
 
-    name: str
+    name: AxisName
     values: tuple
 
     def __post_init__(self) -> None:
-        if self.name not in KNOWN_AXES:
-            raise SpecError(
-                f"unknown axis {self.name!r}; supported axes: {', '.join(KNOWN_AXES)}"
-            )
+        check_fields(self, SpecError)
         if not self.values:
             raise SpecError(f"axis {self.name!r} has no values")
-        object.__setattr__(self, "values", tuple(self.values))
 
 
 @dataclass(frozen=True)
@@ -90,31 +80,18 @@ class WorkloadSpec:
     memory-intensity category (the figure-level sweep set).
     """
 
-    kind: str = "intensive"
+    kind: Literal["intensive", "category_sweep"] = "intensive"
     count: int = 2
     num_cores: int = 8
     seed: int = 0
-    categories: tuple[int, ...] = INTENSITY_CATEGORIES
+    categories: tuple[IntensityCategory, ...] = INTENSITY_CATEGORIES
 
     def __post_init__(self) -> None:
-        if self.kind not in WORKLOAD_KINDS:
-            raise SpecError(
-                f"unknown workload kind {self.kind!r}; "
-                f"expected one of {', '.join(WORKLOAD_KINDS)}"
-            )
+        check_fields(self, SpecError)
         if self.count < 1:
             raise SpecError(f"workload count must be positive, got {self.count}")
         if self.num_cores < 1:
             raise SpecError(f"num_cores must be positive, got {self.num_cores}")
-        object.__setattr__(self, "categories", tuple(self.categories))
-        invalid = [c for c in self.categories if c not in INTENSITY_CATEGORIES]
-        if invalid:
-            # Caught at spec-load time so --dry-run cannot bless a spec
-            # that would crash once workloads are built.
-            raise SpecError(
-                f"invalid categories {invalid}; expected members of "
-                f"{INTENSITY_CATEGORIES}"
-            )
         if not self.categories:
             raise SpecError("a category_sweep needs at least one category")
 
@@ -145,28 +122,23 @@ class SweepSpec:
 
     name: str
     axes: tuple[Axis, ...]
-    mechanisms: tuple[str, ...] = ("refpb", "sarppb")
+    mechanisms: tuple[MechanismName, ...] = ("refpb", "sarppb")
     baseline: str = ""
-    expansion: str = "grid"
-    base: dict = field(default_factory=dict)
+    expansion: Literal["grid", "zip"] = "grid"
+    base: dict[AxisName, object] = field(default_factory=dict)
     workloads: WorkloadSpec = field(default_factory=WorkloadSpec)
     description: str = ""
 
     def __post_init__(self) -> None:
+        check_fields(self, SpecError)
         if not self.name:
             raise SpecError("a sweep spec needs a non-empty name")
-        object.__setattr__(self, "axes", tuple(self.axes))
         if not self.axes:
             raise SpecError("a sweep spec needs at least one axis")
         names = [axis.name for axis in self.axes]
         duplicates = {n for n in names if names.count(n) > 1}
         if duplicates:
             raise SpecError(f"duplicate axes: {', '.join(sorted(duplicates))}")
-        if self.expansion not in EXPANSIONS:
-            raise SpecError(
-                f"unknown expansion {self.expansion!r}; "
-                f"expected one of {', '.join(EXPANSIONS)}"
-            )
         if self.expansion == "zip":
             lengths = {len(axis.values) for axis in self.axes}
             if len(lengths) > 1:
@@ -174,17 +146,8 @@ class SweepSpec:
                     "zip expansion requires equal-length axes, got lengths "
                     f"{sorted(len(a.values) for a in self.axes)}"
                 )
-        object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
         if not self.mechanisms:
             raise SpecError("a sweep spec needs at least one mechanism")
-        for mechanism in self.mechanisms:
-            try:
-                RefreshMechanism(mechanism)
-            except ValueError:
-                valid = ", ".join(m.value for m in RefreshMechanism)
-                raise SpecError(
-                    f"unknown mechanism {mechanism!r}; expected one of {valid}"
-                ) from None
         if not self.baseline:
             object.__setattr__(self, "baseline", self.mechanisms[0])
         if self.baseline not in self.mechanisms:
@@ -192,12 +155,6 @@ class SweepSpec:
                 f"baseline {self.baseline!r} is not among the swept mechanisms "
                 f"{self.mechanisms}"
             )
-        for key in self.base:
-            if key not in KNOWN_AXES:
-                raise SpecError(
-                    f"unknown base knob {key!r}; supported knobs: "
-                    f"{', '.join(KNOWN_AXES)}"
-                )
 
     # -- introspection -----------------------------------------------------
     def axis_names(self) -> tuple[str, ...]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.config.serialize import store_floats
+from repro.config.serialize import check_fields
 from repro.workloads.generators import GENERATORS, LINE_BYTES, _draw_accesses
 from repro.workloads.trace import TraceEntry
 
@@ -37,7 +37,7 @@ class Benchmark:
     dependent_fraction: float = 0.3
 
     def __post_init__(self) -> None:
-        store_floats(self)
+        check_fields(self)
         # Benchmarks also arrive over the remote wire, so a bad field must
         # fail here, by name, not as an arithmetic error deep in a warmup.
         if self.pattern not in GENERATORS:

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Literal, get_args
 
+from repro.config.serialize import check_fields
 from repro.obs.log import get_logger
 from repro.workloads.benchmark_suite import (
     Benchmark,
@@ -23,7 +25,8 @@ from repro.workloads.benchmark_suite import (
 log = get_logger(__name__)
 
 #: The five memory-intensity categories used throughout the evaluation.
-INTENSITY_CATEGORIES: tuple[int, ...] = (0, 25, 50, 75, 100)
+IntensityCategory = Literal[0, 25, 50, 75, 100]
+INTENSITY_CATEGORIES: tuple[int, ...] = get_args(IntensityCategory)
 
 
 @dataclass(frozen=True)
@@ -35,6 +38,9 @@ class Workload:
     #: Memory-intensity category (percentage of intensive benchmarks), if known.
     category: int = -1
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
     @property
     def num_cores(self) -> int:

@@ -134,12 +134,18 @@ class TestDRAMConfig:
         with pytest.raises(ValueError):
             DRAMConfig.for_density(8, fgr_mode=3)
 
-    @pytest.mark.parametrize("density", [-8, 0, True, 8.0, "8"])
+    @pytest.mark.parametrize("density", [-8, 0, True, 8.5, "8"])
     def test_non_positive_int_density_rejected(self, density):
         # A projected tRFC for these is meaningless (0 Gb projects 170 ns,
         # -8 Gb a negative latency), so refuse instead of simulating.
         with pytest.raises(ValueError, match="density_gb"):
             DRAMConfig.for_density(density)
+
+    def test_integral_float_density_is_an_int(self):
+        # 8.0 is the int 8, so both build one config (and one job key).
+        config = DRAMConfig.for_density(8.0)
+        assert type(config.density_gb) is int
+        assert config == DRAMConfig.for_density(8)
 
     def test_rows_per_refresh(self):
         config = DRAMConfig.for_density(8)

@@ -17,6 +17,7 @@ from repro.config.serialize import from_plain, to_plain
 from repro.config.system import SystemConfig
 from repro.controller.policies import scheduler_names
 from repro.engine.jobs import SimulationJob, execute_job
+from repro.engine.remote import decode_job, encode_job
 from repro.engine.sqlite_store import SqliteStore, copy_store
 from repro.engine.store import InMemoryStore, ResultStore
 from repro.sim.results import SimulationResult
@@ -91,16 +92,20 @@ class TestJobs:
             ("cycles", 100.5),
             ("cycles", True),
             ("warmup", -5),
-            ("warmup", 10.0),
             ("warmup", False),
             ("seed", True),
-            ("seed", 1.0),
             ("seed", "3"),
         ],
     )
     def test_malformed_window_is_refused_by_name(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be"):
+        with pytest.raises(ValueError, match=field):
             make_job(**{field: value})
+
+    @pytest.mark.parametrize(("field", "value"), [("warmup", 10.0), ("seed", 1.0)])
+    def test_integral_float_window_is_an_int(self, field, value):
+        job = make_job(**{field: value})
+        assert type(getattr(job, field)) is int
+        assert job.key() == make_job(**{field: int(value)}).key()
 
     def test_zero_warmup_and_negative_seed_are_valid(self):
         job = make_job(warmup=0, seed=-1)
@@ -164,6 +169,18 @@ def _with_leaf(config: SystemConfig, path: tuple, value) -> SystemConfig:
     return SystemConfig.from_dict(plain)
 
 
+def _wire_key(payload: dict) -> str:
+    """The key a sender derives for a wire payload, recomputed from the
+    payload itself (the kernel, obs and an unread row_hit_cap left out)."""
+    plain = json.loads(json.dumps({k: v for k, v in payload.items() if k != "key"}))
+    config = plain["config"]
+    del config["kernel"], config["obs"]
+    if config["controller"]["scheduler"] != "frfcfs-cap":
+        del config["controller"]["row_hit_cap"]
+    encoded = json.dumps(plain, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
 class TestJobKey:
     """Every field that can change a result is part of the job key."""
 
@@ -196,6 +213,53 @@ class TestJobKey:
                 assert job_key(changed) == base, path
             else:
                 assert job_key(changed) != base, path
+
+    @pytest.mark.parametrize("wrong", ["str", "bool", "half"])
+    def test_every_config_leaf_refuses_a_wrong_type_by_name(self, wrong):
+        # A str for any leaf, a bool for a non-bool one and x.5 for an int
+        # one: each is refused naming the dotted path down to the field.
+        config = small_system("refab")
+        for path, value in _leaves(config.to_dict()):
+            name = path[-1]
+            if wrong == "str" and name != "trace_dir":  # any str names a dir
+                bad = "11"
+            elif wrong == "bool" and not isinstance(value, bool):
+                bad = True
+            elif wrong == "half" and type(value) is int:
+                bad = value + 0.5
+            else:
+                continue
+            with pytest.raises(ValueError) as refused:
+                _with_leaf(config, path, bad)
+            message = str(refused.value)
+            named = [f".{part}: " for part in path]
+            if name == "scheduler" and wrong == "str":  # its registry names it
+                named[-1] = "unknown scheduler policy '11'"
+            assert all(part in message for part in named), (path, message)
+
+    def test_integral_float_core_count_shares_a_key(self):
+        preset = paper_system(num_cores=8)
+        plain = preset.to_dict()
+        plain["cpu"]["num_cores"] = 8.0
+        decoded = SystemConfig.from_dict(plain)
+        assert type(decoded.cpu.num_cores) is int
+        assert job_key(decoded) == job_key(preset)
+        assert job_key(paper_system(num_cores=8.0)) == job_key(preset)
+        for bad in (8.5, True, "8"):
+            with pytest.raises(ValueError, match="CPUConfig.num_cores: expects"):
+                paper_system(num_cores=bad)
+            plain["cpu"]["num_cores"] = bad
+            with pytest.raises(ValueError, match="CPUConfig.num_cores: expects"):
+                SystemConfig.from_dict(plain)
+
+    def test_wrongly_typed_wire_config_is_refused_by_name_not_by_key(self):
+        payload = json.loads(json.dumps(encode_job(make_job())))
+        assert _wire_key(payload) == payload["key"]
+        payload["config"]["dram"]["timings"]["tCL"] = "11"
+        payload["key"] = _wire_key(payload)
+        with pytest.raises(ValueError, match="DRAMTimings.tCL: expects") as refused:
+            decode_job(payload)
+        assert "key" not in str(refused.value)
 
     def test_every_workload_and_benchmark_field_changes_the_key(self):
         workload = small_workload()

@@ -209,7 +209,7 @@ class TestPayloadEnvelopes:
     def test_malformed_window_on_the_wire_is_refused(self, field, value):
         payload = over_the_wire(encode_job(small_job()))
         payload[field] = value
-        with pytest.raises(ValueError, match=f"^{field} must be"):
+        with pytest.raises(ValueError, match=field):
             decode_job(payload)
 
     def test_simulation_result_travels_as_canonical_dict(self):

@@ -86,7 +86,7 @@ class TestConfigThreading:
             ControllerConfig(scheduler="warp")
 
     def test_unknown_page_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown page policy"):
+        with pytest.raises(ValueError, match="ControllerConfig.page_policy"):
             ControllerConfig(page_policy="ajar")
 
     def test_row_hit_cap_validated(self):
@@ -198,7 +198,7 @@ class TestRunnerOverrides:
 
         with pytest.raises(ValueError, match="unknown scheduler policy"):
             ExperimentRunner(cycles=100, warmup=0, scheduler="warp")
-        with pytest.raises(ValueError, match="unknown page policy"):
+        with pytest.raises(ValueError, match="ControllerConfig.page_policy"):
             ExperimentRunner(cycles=100, warmup=0, page_policy="ajar")
 
     def test_cli_sweep_flags_do_not_clobber_swept_axes(self):

@@ -281,17 +281,38 @@ class TestSweepCli:
             ({"axes": ["density_gb"]}, "SweepSpec.axes"),
             ({"axes": [{"name": "density_gb", "values": 8}]}, "Axis.values"),
             ({"mechanisms": "refab"}, "SweepSpec.mechanisms"),
+            ({"axes": [{"name": "tfaw", "values": ["20"]}]}, "DRAMTimings.tFAW"),
+            ({"axes": [{"name": "num_cores", "values": ["2"]}]}, "CPUConfig.num_cores"),
+            (
+                {"axes": [{"name": "row_hit_cap", "values": [True]}]},
+                "ControllerConfig.row_hit_cap",
+            ),
+            ({"workloads": {"count": "2"}}, "WorkloadSpec.count"),
+            ({"base": {"retention_ms": "64"}}, "DRAMConfig.retention_ms"),
         ],
-        ids=["axes-number", "axes-of-names", "values-number", "mechanisms-string"],
+        ids=[
+            "axes-number",
+            "axes-of-names",
+            "values-number",
+            "mechanisms-string",
+            "tfaw-string",
+            "num-cores-string",
+            "row-hit-cap-bool",
+            "count-string",
+            "retention-string",
+        ],
     )
     def test_badly_shaped_spec_is_a_usage_error(self, tmp_path, fields, named):
         spec = {"name": "bad", "axes": [{"name": "density_gb", "values": [8]}]}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**spec, **fields}))
-        code, _, err = self.run_cli(["sweep", str(path), "--dry-run"])
-        assert code == 2
-        assert err.startswith("error: ") and named in err
-        assert "Traceback" not in err
+        out = tmp_path / "out"
+        for flag in ("--dry-run", f"--out={out}"):
+            code, _, err = self.run_cli(["sweep", str(path), flag])
+            assert code == 2, err
+            assert err.startswith("error: ") and named in err
+            assert "Traceback" not in err
+        assert not out.exists()
 
     def test_sweep_accepts_a_run_directory(self, tmp_path):
         # Run directories advertise themselves as re-runnable: pointing
