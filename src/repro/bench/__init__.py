@@ -19,54 +19,42 @@ Driven by the ``repro bench`` CLI (``list`` / ``run`` / ``compare``)::
         --max-regression 25%
 """
 
-from repro.bench.compare import (
-    DEFAULT_FIDELITY_TOLERANCE,
-    DEFAULT_MAX_REGRESSION,
-    DEFAULT_NOISE_FLOOR_S,
-    Comparison,
-    ComparisonEntry,
-    compare_documents,
-)
-from repro.bench.run import (
-    SCHEMA_NAME,
-    SCHEMA_VERSION,
-    BenchContext,
-    BenchDocument,
-    BenchRecord,
-    artifact_dir,
-    default_json_path,
-    run_specs,
-)
-from repro.bench.spec import (
-    TIERS,
-    BenchError,
-    BenchSpec,
-    all_specs,
-    get_spec,
-    load_suite,
-    register,
-)
+from importlib import import_module
 
-__all__ = [
-    "BenchContext",
-    "BenchDocument",
-    "BenchError",
-    "BenchRecord",
-    "BenchSpec",
-    "Comparison",
-    "ComparisonEntry",
-    "DEFAULT_FIDELITY_TOLERANCE",
-    "DEFAULT_MAX_REGRESSION",
-    "DEFAULT_NOISE_FLOOR_S",
-    "SCHEMA_NAME",
-    "SCHEMA_VERSION",
-    "TIERS",
-    "all_specs",
-    "artifact_dir",
-    "compare_documents",
-    "default_json_path",
-    "get_spec",
-    "load_suite",
-    "register",
-    "run_specs",
-]
+#: Public name -> the submodule that defines it.  The submodules load on
+#: first use, so importing :mod:`repro.bench.spec` (the CLI does, for
+#: :data:`TIERS`) does not load the harness.
+_EXPORTS = {
+    "DEFAULT_FIDELITY_TOLERANCE": "compare",
+    "DEFAULT_MAX_REGRESSION": "compare",
+    "DEFAULT_NOISE_FLOOR_S": "compare",
+    "Comparison": "compare",
+    "ComparisonEntry": "compare",
+    "compare_documents": "compare",
+    "SCHEMA_NAME": "run",
+    "SCHEMA_VERSION": "run",
+    "BenchContext": "run",
+    "BenchDocument": "run",
+    "BenchRecord": "run",
+    "artifact_dir": "run",
+    "default_json_path": "run",
+    "run_specs": "run",
+    "TIERS": "spec",
+    "BenchError": "spec",
+    "BenchSpec": "spec",
+    "all_specs": "spec",
+    "get_spec": "spec",
+    "load_suite": "spec",
+    "register": "spec",
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+__all__ = sorted(_EXPORTS)

@@ -27,16 +27,17 @@ class CacheSnapshot(NamedTuple):
     """A cache's resident lines, compactly: enough to rebuild every set.
 
     Sets are laid out one after another in LRU order (least recently used
-    first): set ``i`` owns ``lengths[i]`` consecutive entries of ``tags``
-    and of ``dirty`` (one byte per line, 0 or 1).
+    first): set ``i`` owns entries ``starts[i]`` to ``starts[i + 1]`` of
+    ``tags`` and of ``dirty`` (one bool per line, kept as a tuple so a
+    set's flags are one slice).
     """
 
     num_sets: int
     associativity: int
     line_bytes: int
-    lengths: array
+    starts: array
     tags: array
-    dirty: bytes
+    dirty: tuple
 
 
 class SetAssociativeCache:
@@ -57,10 +58,20 @@ class SetAssociativeCache:
         self.num_sets = size_bytes // (associativity * line_bytes)
         if self.num_sets & (self.num_sets - 1):
             raise ValueError("number of sets must be a power of two")
+        #: ``log2(num_sets)``: a line's tag is ``line >> set_bits``.
+        self.set_bits = self.num_sets.bit_length() - 1
         # Each set is a dict mapping tag -> dirty flag whose insertion
         # order is the LRU order (least recently used first): a hit
         # re-inserts its tag at the end, a miss evicts the first tag.
-        self._sets: list[dict[int, bool]] = [{} for _ in range(self.num_sets)]
+        # ``None`` marks a set a restore has not built yet (see
+        # :meth:`restore`); every reader goes through :meth:`_build`.
+        self._table: list[Optional[dict[int, bool]]] = [
+            {} for _ in range(self.num_sets)
+        ]
+        #: What :meth:`_build` reads, while a restore left a set unbuilt:
+        #: the snapshot's ``starts``, ``tags`` and ``dirty``, and the tag
+        #: shift (``tag_base.__add__``, or None for a zero base).
+        self._source: Optional[tuple] = None
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
@@ -74,11 +85,36 @@ class SetAssociativeCache:
         """Line-aligned form of ``address``."""
         return (address // self.line_bytes) * self.line_bytes
 
+    # -- sets ----------------------------------------------------------------
+    def _build(self, index: int) -> dict[int, bool]:
+        """Build set ``index`` from the restored snapshot, on first touch."""
+        starts, tags, dirty, shift = self._source
+        start = starts[index]
+        end = starts[index + 1]
+        keys = tags[start:end]
+        if shift is not None:
+            keys = map(shift, keys)
+        cache_set = self._table[index] = dict(zip(keys, dirty[start:end]))
+        return cache_set
+
+    @property
+    def _sets(self) -> list[dict[int, bool]]:
+        """Every set, built: the whole-cache view bulk readers iterate."""
+        if self._source is not None:
+            build = self._build
+            for index, cache_set in enumerate(self._table):
+                if cache_set is None:
+                    build(index)
+            self._source = None
+        return self._table
+
     # -- access --------------------------------------------------------------
     def access(self, address: int, is_write: bool) -> CacheAccessResult:
         """Perform a load or store; returns hit status and any writeback."""
         tag, index = divmod(address // self.line_bytes, self.num_sets)
-        cache_set = self._sets[index]
+        cache_set = self._table[index]
+        if cache_set is None:
+            cache_set = self._build(index)
         if tag in cache_set:
             dirty = cache_set.pop(tag)
             cache_set[tag] = dirty or is_write
@@ -125,7 +161,10 @@ class SetAssociativeCache:
     def contains(self, address: int) -> bool:
         """True if the line holding ``address`` is resident (no LRU update)."""
         index, tag = self._index_and_tag(address)
-        return tag in self._sets[index]
+        cache_set = self._table[index]
+        if cache_set is None:
+            cache_set = self._build(index)
+        return tag in cache_set
 
     def occupancy(self) -> int:
         """Number of resident lines."""
@@ -141,27 +180,31 @@ class SetAssociativeCache:
         with ``tag_base=k`` is the state that accesses shifted by ``k``
         spans would have built.
         """
-        lengths = array("I")
+        starts = array("I", [0])
         tags = array("q")
-        dirty = bytearray()
+        dirty: list[bool] = []
         for cache_set in self._sets:
-            lengths.append(len(cache_set))
             tags.extend(cache_set)
             dirty.extend(cache_set.values())
+            starts.append(len(tags))
         return CacheSnapshot(
             self.num_sets,
             self.associativity,
             self.line_bytes,
-            lengths,
+            starts,
             tags,
-            bytes(dirty),
+            tuple(dirty),
         )
 
     def restore(self, snapshot: CacheSnapshot, tag_base: int = 0) -> None:
         """Replace every set with ``snapshot``'s, tags plus ``tag_base``.
 
-        Every set is a new object, so caches restored from one snapshot
-        never share state; statistics start from zero.
+        The restore itself builds nothing: it keeps the (immutable)
+        snapshot and the tag base, and each set is built by
+        :meth:`_build` the first time a reader touches it.  A short
+        simulation touches a small share of the sets, so most are never
+        built.  Every built set is a new object, so caches restored from
+        one snapshot never share state; statistics start from zero.
         """
         geometry = (snapshot.num_sets, snapshot.associativity, snapshot.line_bytes)
         if geometry != (self.num_sets, self.associativity, self.line_bytes):
@@ -169,15 +212,9 @@ class SetAssociativeCache:
                 f"snapshot of a {geometry} cache cannot restore a "
                 f"{(self.num_sets, self.associativity, self.line_bytes)} cache"
             )
-        tags = [tag + tag_base for tag in snapshot.tags]
-        dirty = [flag == 1 for flag in snapshot.dirty]
-        sets = []
-        start = 0
-        for length in snapshot.lengths:
-            end = start + length
-            sets.append(dict(zip(tags[start:end], dirty[start:end])))
-            start = end
-        self._sets = sets
+        self._table = [None] * self.num_sets
+        shift = tag_base.__add__ if tag_base else None
+        self._source = (snapshot.starts, snapshot.tags, snapshot.dirty, shift)
         self.reset_stats()
 
     @property

@@ -5,9 +5,11 @@ through the cache model, yet the warmed state depends only on the cache
 geometry, the benchmark, the warm trace's seed, the access count and the
 core's address offset (and on the offset only up to a tag shift, see
 :meth:`~repro.cache.set_assoc.SetAssociativeCache.snapshot`).  Cores and
-jobs that agree on those reuse one warmup: the first warms and snapshots,
-every later one restores.  One holder serves one process's simulations;
-it is passed in, never module state.
+jobs that agree on those reuse one warmup: the first warms a scratch
+cache and snapshots it, and every LLC restores the snapshot, building
+each set only when it is first touched.  Snapshots are immutable, so
+every restore can share one.  One holder serves one process's
+simulations; it is passed in, never module state.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from repro.cache.set_assoc import CacheSnapshot
 class WarmStates:
     """Least-recently-used map from a warmup's inputs to its snapshot."""
 
-    #: Snapshots kept.  A warmed 512 KB LLC snapshot is ~75 KB (flat tag
-    #: and dirty arrays), so a full holder stays a few MB.
+    #: Snapshots kept.  A warmed 512 KB LLC snapshot is ~130 KB (flat
+    #: tags and dirty flags), so a full holder stays a few MB.
     CAPACITY = 32
 
     def __init__(self) -> None:

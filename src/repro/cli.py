@@ -43,6 +43,7 @@ import sys
 from pathlib import Path
 from typing import Optional, TextIO
 
+from repro.bench.spec import TIERS
 from repro.config.controller_config import PAGE_POLICIES, PAGE_POLICY_DESCRIPTIONS
 from repro.config.obs_config import ObsConfig
 from repro.config.serialize import canonical
@@ -392,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench_run.add_argument(
         "--tier",
-        choices=("quick", "full"),
+        choices=TIERS,
         default="quick",
         help=(
             "quick runs the CI-sized suite; full additionally runs the "

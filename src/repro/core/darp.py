@@ -27,6 +27,7 @@ JEDEC limits become ``-max_pullin <= debt <= max_postpone``.
 from __future__ import annotations
 
 import random
+from itertools import chain, compress
 from typing import Optional
 
 from repro.core.base import RefreshPolicy
@@ -61,6 +62,15 @@ class DARPPolicy(RefreshPolicy):
         self._debt_version = 0
         #: Cached post-demand pools: (queue version, debt version, pools).
         self._pool_cache: "tuple[int, int, list[tuple[int, list[int]]]] | None" = None
+        #: The demand-count key of every bank in debt-table order, and the
+        #: test of a debt for being within the pull-in budget (both for
+        #: :meth:`wants_draw_ticks`).
+        self._bank_keys = [
+            (rank, bank)
+            for rank in range(self.num_ranks)
+            for bank in range(self.num_banks)
+        ]
+        self._within_pullin = (-config.refresh.max_pullin).__lt__
 
     # -- bookkeeping ---------------------------------------------------------------
     def refresh_debt(self, rank: int, bank: int) -> int:
@@ -309,23 +319,24 @@ class DARPPolicy(RefreshPolicy):
 
         Asked at every window install, when the pools are often stale, so
         a stale cache is not rebuilt: some pool is non-empty exactly when
-        some rank has an idle bank within its pull-in budget.
+        some rank has an idle bank within its pull-in budget.  Only the
+        banks within the budget are visited, picked out at C level.
         """
         if not self.refresh_config.enable_out_of_order:
             return False
         cache = self._pool_cache
+        queues = self.controller.queues
         if (
             cache is not None
-            and cache[0] == self.controller.queues.idle_version
+            and cache[0] == queues.idle_version
             and cache[1] == self._debt_version
         ):
             return bool(cache[2])
-        floor = -self.refresh_config.max_pullin
-        counts = self.controller.queues.demand_counts
-        for rank, debts in enumerate(self._debt):
-            for bank, debt in enumerate(debts):
-                if debt > floor and not counts[(rank, bank)]:
-                    return True
+        counts = queues.demand_counts
+        debts = chain.from_iterable(self._debt)
+        for key in compress(self._bank_keys, map(self._within_pullin, debts)):
+            if not counts[key]:
+                return True
         return False
 
     def next_event_cycle(self, now: int) -> Optional[int]:

@@ -27,16 +27,12 @@ from repro.workloads.trace import TraceEntry
 
 #: :meth:`Core.tick` outcome: the core changed no state at all — it is
 #: blocked on a memory-side event and will repeat the identical non-cycle
-#: until one occurs.  (Falsy, so the return still reads as "did anything
-#: change" in boolean context.)
+#: until one occurs.  Every other outcome is the (positive) cycle at which
+#: the core must be ticked next, so the return still reads as "did
+#: anything change" in boolean context.
 CORE_BLOCKED = 0
-#: The tick consisted purely of a full budget of non-memory (gap)
-#: instructions: no fetch, no cache access, no writeback.  Such ticks can
-#: be replayed in closed form by :meth:`Core.skip_gap_cycles`.
-CORE_GAP = 1
-#: Anything else: the core touched the memory system, its trace, or its
-#: cache, so the next cycle cannot be predicted without executing it.
-CORE_ACTIVE = 2
+#: :attr:`Core.block_reason` of a core waiting for one of its own reads.
+COMPLETION = ("completion",)
 
 
 @dataclass
@@ -81,6 +77,12 @@ class Core:
         self.stats = CoreStats()
         #: Instructions one tick may retire (a config property, read once).
         self._budget = config.insts_per_dram_cycle
+        #: Budget left in the cycle the next tick executes: less than a
+        #: full budget only after a rollover stopped inside that cycle,
+        #: which has then made progress (only retiring spends budget).
+        self._budget_left = self._budget
+        self._window = config.instruction_window
+        self._mshrs = config.mshrs_per_core
 
         #: Outstanding DRAM loads: (instruction sequence number, request).
         self._pending_loads: deque[tuple[int, MemRequest]] = deque()
@@ -115,16 +117,13 @@ class Core:
         return len(self._pending_loads)
 
     # -- execution ----------------------------------------------------------
-    def tick(self, cycle: int) -> int:
-        """Execute up to one DRAM cycle's worth of instructions.
+    def tick(self, cycle: int, limit: int = 0) -> int:
+        """Execute one DRAM cycle's worth of instructions, then roll on.
 
-        Returns one of :data:`CORE_BLOCKED` (no state changed at all — the
-        core is waiting on a memory-side event and will repeat the
-        identical non-cycle until one occurs), :data:`CORE_GAP` (the tick
-        was exactly one full budget of non-memory instructions, which the
-        event kernel may batch-replay), or :data:`CORE_ACTIVE` (anything
-        else).  The value is truthy exactly when the core changed state,
-        so boolean callers still read it as "did anything happen".
+        Returns :data:`CORE_BLOCKED` when the call changed no state at all
+        (the core waits on the memory-side event :attr:`block_reason`
+        names, and would repeat the identical non-cycle until it occurs);
+        otherwise the cycle at which the core must be ticked next.
 
         Each pass of the loop does the first thing the core can do:
 
@@ -132,9 +131,9 @@ class Core:
            queue stalls the core);
         2. stall if the core is a whole instruction window ahead of its
            oldest outstanding load;
-        3. retire gap (non-memory) instructions, bounded by the budget
+        3. fetch the next trace entry, if the last one has executed;
+        4. retire gap (non-memory) instructions, bounded by the budget
            and the window headroom;
-        4. fetch the next trace entry;
         5. execute the entry's memory access.  A store allocates its line
            and never stalls (writes are not latency critical).  A load
            stalls while it depends on an outstanding load; a load that
@@ -143,25 +142,71 @@ class Core:
            retry has no side effects.  A dirty victim becomes the
            buffered eviction.
 
+        *Rollover.*  Once ``cycle``'s budget is spent, the core goes on
+        executing the next cycles, below ``limit``, while its next action
+        touches neither the memory system nor its pending loads: LLC hits,
+        stores, trace fetches and gap instructions.  Those actions read
+        only the core's own state.  A read completing meanwhile could only
+        widen the instruction window, so the per-cycle loop would retire
+        at least as much; whatever more it would retire is still ahead,
+        because the core stops at a full window.  It also stops at the
+        first action that needs the memory system or a completion: a
+        buffered writeback, a miss, or a dependent load while loads are
+        outstanding.  It then keeps the partial cycle's remaining budget
+        and returns that cycle, and the tick there resumes it after the
+        memory system has ticked it.  Whole cycles of gap instructions
+        roll in closed form.  The default ``limit`` rolls into no cycle:
+        one call is exactly one cycle, as the cycle kernel runs it.
+
         The core's state lives in locals for the loop and is written back
         once at the end; the memory system never calls back into the core
         during a tick.
         """
-        config = self.config
-        budget = full_budget = self._budget
-        window = config.instruction_window
+        full_budget = self._budget
+        budget = self._budget_left
+        window = self._window
         memory = self.memory
         llc = self.llc
-        stats = self.stats
+        table = llc._table
+        set_mask = llc.num_sets - 1
+        set_bits = llc.set_bits
+        line_bytes = llc.line_bytes
+        offset = self.address_offset
+        trace = self.trace
         pending_loads = self._pending_loads
-        writeback = self._pending_writeback
+        writeback = start_writeback = self._pending_writeback
         gap = self._gap_remaining
-        entry = self._current_entry
+        entry = start_entry = self._current_entry
         seq = start_seq = self._executed_seq
-        progressed = changed = other_than_gap = False
-        gap_retired = 0
-        while budget > 0:
+        called = cycle
+        rolled = False
+        hits = loads = stores = 0
+        while True:
+            if not budget:
+                cycle += 1
+                budget = full_budget
+                if cycle >= limit:
+                    break
+                rolled = True
+                if gap >= full_budget and writeback is None:
+                    run = gap
+                    if pending_loads:
+                        headroom = window - (seq - pending_loads[0][0])
+                        if headroom < run:
+                            run = headroom
+                    whole = run // full_budget
+                    if whole > 0:
+                        if whole > limit - cycle:
+                            whole = limit - cycle
+                        retired = whole * full_budget
+                        gap -= retired
+                        seq += retired
+                        cycle += whole
+                        if cycle >= limit:
+                            break
             if writeback is not None:
+                if rolled:
+                    break
                 if not memory.can_accept(writeback, True):
                     self.block_reason = (
                         "write_queue",
@@ -169,136 +214,107 @@ class Core:
                     )
                     break
                 memory.access(writeback, True, self.core_id, cycle)
-                stats.dram_writes_issued += 1
+                self.stats.dram_writes_issued += 1
                 writeback = None
-                changed = other_than_gap = True
             if pending_loads:
                 headroom = window - (seq - pending_loads[0][0])
+                if headroom <= 0:
+                    if not rolled:
+                        self.block_reason = COMPLETION
+                    break
             else:
                 headroom = window
-            if headroom <= 0:
-                self.block_reason = ("completion",)
-                break
-            if gap > 0:
+            if entry is None:
+                # No gap is left when no entry is: fetch, then retire the
+                # new entry's gap or execute it in this same pass.
+                entry = next(trace)
+                gap = entry.gap
+            if gap:
                 step = gap if gap < budget else budget
                 if headroom < step:
                     step = headroom
                 gap -= step
                 seq += step
                 budget -= step
-                gap_retired += step
-                progressed = True
                 continue
-            if entry is None:
-                entry = next(self.trace)
-                gap = entry.gap
-                changed = other_than_gap = True
-                continue
-            line_bytes = llc.line_bytes
-            line = (self.address_offset + entry.address) // line_bytes
-            address = line * line_bytes
+            line = (offset + entry.address) // line_bytes
+            index = line & set_mask
+            tag = line >> set_bits
+            cache_set = table[index]
+            if cache_set is None:
+                cache_set = llc._build(index)
             if entry.is_write:
-                writeback = llc.access(address, True).writeback_address
-                stats.stores += 1
+                if tag in cache_set:
+                    del cache_set[tag]
+                    cache_set[tag] = True
+                    hits += 1
+                else:
+                    writeback = llc.access(line * line_bytes, True).writeback_address
+                stores += 1
             else:
                 # Dependent loads (pointer chasing) cannot issue while
                 # earlier loads are outstanding; they are what makes a
                 # workload sensitive to the latency a refresh adds.
                 if entry.depends and pending_loads:
-                    self.block_reason = ("completion",)
+                    if not rolled:
+                        self.block_reason = COMPLETION
                     break
-                tag, index = divmod(line, llc.num_sets)
-                hit = tag in llc._sets[index]
-                if not hit:
-                    if len(pending_loads) >= config.mshrs_per_core:
-                        self.block_reason = ("completion",)
+                if tag in cache_set:
+                    cache_set[tag] = cache_set.pop(tag)
+                    hits += 1
+                else:
+                    if rolled:
                         break
+                    if len(pending_loads) >= self._mshrs:
+                        self.block_reason = COMPLETION
+                        break
+                    address = line * line_bytes
                     if not memory.can_accept(address, False):
                         self.block_reason = (
                             "read_queue",
                             memory.controller_for(address).channel_id,
                         )
                         break
-                writeback = llc.access(address, False).writeback_address
-                stats.loads += 1
-                if not hit:
+                    writeback = llc.access(address, False).writeback_address
+                    stats = self.stats
                     stats.llc_load_misses += 1
                     request = memory.access(address, False, self.core_id, cycle)
                     if request is not None:
                         stats.dram_reads_issued += 1
                         pending_loads.append((seq, request))
                         self._pending_requests[request.request_id] = seq
+                loads += 1
             seq += 1
             entry = None
             budget -= 1
-            progressed = other_than_gap = True
         self._pending_writeback = writeback
         self._gap_remaining = gap
         self._current_entry = entry
         self._executed_seq = seq
+        stats = self.stats
         stats.instructions += seq - start_seq
-        if not progressed:
+        if hits:
+            llc.hits += hits
+        if loads:
+            stats.loads += loads
+        if stores:
+            stats.stores += stores
+        if cycle != called:
+            self._budget_left = budget
+            return cycle
+        self._budget_left = full_budget
+        if budget == full_budget:
             stats.stall_cycles += 1
-            return CORE_ACTIVE if changed else CORE_BLOCKED
-        if not other_than_gap and gap_retired == full_budget:
-            return CORE_GAP
-        return CORE_ACTIVE
-
-    # -- cycle-skipping kernel support ---------------------------------------------
-    def next_event_cycle(self, now: int) -> Optional[int]:
-        """Earliest cycle at which this core can do something that is not a
-        replayable continuation of the tick it just executed.
-
-        After a :data:`CORE_BLOCKED` tick the core has no self-scheduled
-        events (``None``): it is waiting on the memory system, whose
-        wake-ups the controller horizons report.  After a
-        :data:`CORE_GAP` tick the core keeps retiring full budgets of gap
-        instructions for :meth:`pure_gap_ticks` more cycles; the first
-        cycle beyond those may fetch, access memory, or stall.  The event
-        kernel therefore combines this with the tick's status: after
-        ``CORE_GAP`` it uses ``now + 1 + pure_gap_ticks()`` directly (even
-        when zero ticks remain, which forbids skipping).
-        """
-        ticks = self.pure_gap_ticks()
-        return now + 1 + ticks if ticks else None
-
-    def pure_gap_ticks(self) -> int:
-        """Upcoming ticks that are provably a full gap-instruction budget.
-
-        Mirrors the conditions of one tick's gap branch: no buffered
-        writeback, and both the remaining gap and (with outstanding loads)
-        the shrinking instruction-window headroom cover a whole budget.
-        Without outstanding loads the headroom does not shrink as the core
-        runs ahead, so only the gap bounds the run.
-        """
-        if self._pending_writeback is not None:
-            return 0
-        bound = self._gap_remaining
-        if self._pending_loads:
-            headroom = self.config.instruction_window - (
-                self._executed_seq - self._pending_loads[0][0]
-            )
-            bound = min(bound, headroom)
-        return bound // self._budget
-
-    def skip_gap_cycles(self, count: int) -> None:
-        """Batch-replay ``count`` pure-gap ticks in closed form.
-
-        Each replayed tick retires exactly one instruction budget out of
-        the current gap — the same arithmetic the per-cycle loop performs,
-        just without the loop.
-        """
-        instructions = count * self._budget
-        self._gap_remaining -= instructions
-        self._executed_seq += instructions
-        self.stats.instructions += instructions
+        if seq == start_seq and entry is start_entry and writeback is start_writeback:
+            return CORE_BLOCKED
+        return cycle + 1
 
     def skip_stalled_cycles(self, count: int) -> None:
         """Account ``count`` skipped cycles during which this core stalled.
 
-        The event kernel only skips spans in which every core's tick is a
-        provable no-op; the legacy kernel would have charged one stall
-        cycle per tick, so the batched accounting is exactly that.
+        The event kernel sleeps a core only while its tick is a provable
+        no-op; the cycle kernel would have charged one stall cycle per
+        tick, so the batched accounting is exactly that.
         """
         self.stats.stall_cycles += count
 

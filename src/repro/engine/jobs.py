@@ -143,7 +143,7 @@ class SimulationJob:
         from pathlib import Path
 
         from repro.obs.epochs import merge_epoch_samples
-        from repro.obs.trace import trace_header, write_trace
+        from repro.obs.trace import TRACE_SUFFIXES, trace_header, write_trace
 
         tracer = simulator.memory.tracer
         if tracer is None:
@@ -171,7 +171,7 @@ class SimulationJob:
         )
         directory = Path(obs.trace_dir)
         directory.mkdir(parents=True, exist_ok=True)
-        suffix = "jsonl" if obs.trace_format == "jsonl" else "bin"
+        suffix = TRACE_SUFFIXES[obs.trace_format]
         name = self.describe().replace("/", "_").replace("@", "_")
         path = directory / f"{name}_{self.key()[:12]}.{suffix}"
         write_trace(path, header, tracer.records, fmt=obs.trace_format)

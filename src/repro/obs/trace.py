@@ -29,6 +29,7 @@ from collections import deque
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
+from repro.config.obs_config import ObsConfig
 from repro.obs.record import ALL_OPS, TraceRecord
 
 #: Magic prefix identifying the binary trace format, version 1.
@@ -111,6 +112,9 @@ class CommandTracer:
 
 # -- sinks -----------------------------------------------------------------
 
+#: File suffix of each trace format :class:`ObsConfig` accepts.
+TRACE_SUFFIXES = {"jsonl": "jsonl", "binary": "bin"}
+
 
 def write_trace(
     path: Union[str, Path],
@@ -125,7 +129,10 @@ def write_trace(
     elif fmt == "binary":
         _write_binary(path, header, records)
     else:
-        raise ValueError(f"unknown trace format {fmt!r}; expected jsonl or binary")
+        raise ValueError(
+            f"unknown trace format {fmt!r}; expected one of "
+            + ", ".join(ObsConfig.TRACE_FORMATS)
+        )
     return path
 
 

@@ -19,7 +19,7 @@ from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.warm import WarmStates
 from repro.config.system import SystemConfig
 from repro.controller.memory_controller import MemorySystem
-from repro.cpu.core_model import CORE_ACTIVE, CORE_GAP, Core
+from repro.cpu.core_model import Core
 from repro.power.dram_power import DRAMPowerModel
 from repro.sim.results import CoreResult, SimulationResult
 from repro.workloads.mixes import Workload
@@ -65,8 +65,10 @@ class Simulator:
             )
         self._current_cycle = 0
         #: Event-kernel core-sleep records, one per core:
-        #: ``None`` (awake) or ``(kind, channel, counter, first_unaccounted)``
-        #: where ``kind`` is "completion"/"read_queue"/"write_queue",
+        #: ``None`` (awake), ``("ahead", cycle)`` for a core that rolled
+        #: ahead and must next be ticked at ``cycle``, or
+        #: ``(kind, channel, counter, first_unaccounted)`` for a blocked
+        #: core, where ``kind`` is "completion"/"read_queue"/"write_queue",
         #: ``counter`` snapshots the matching retirement counter at sleep
         #: time, and ``first_unaccounted`` is the first cycle whose stall
         #: has not yet been added to the core's statistics.
@@ -104,7 +106,8 @@ class Simulator:
         The offset splits into a whole number of cache spans (which only
         shifts every tag) and a residue, so the state is warmed once per
         residue in :attr:`warm_states` and restored, tags shifted, into
-        every LLC that needs it.
+        every LLC that needs it.  A restore builds each set only when
+        the run first touches it.
         """
         cache = self.config.cache
         cache_lines = cache.size_bytes // cache.line_bytes
@@ -165,32 +168,39 @@ class Simulator:
         """Materialize lazily accumulated stall cycles of sleeping cores.
 
         Called at measurement boundaries (warmup reset, end of run) so
-        the statistics match the legacy kernel's exactly; the cores stay
-        asleep, accounting restarting at the current cycle.
+        the statistics match the cycle kernel's exactly; the cores stay
+        asleep, accounting restarting at the current cycle.  A core that
+        is ahead has executed every cycle before the boundary and
+        stalled in none of them since its last tick.
         """
         cycle = self._current_cycle
         for core_id, record in enumerate(self._core_sleep):
-            if record is not None:
+            if record is not None and record[0] != "ahead":
                 self.cores[core_id].skip_stalled_cycles(cycle - record[3])
                 self._core_sleep[core_id] = record[:3] + (cycle,)
 
     def _step_event(self, limit: int) -> None:
         """One event-kernel step: tick what can act, sleep what provably can't.
 
-        Three levels of cycle-skipping compose here, each licensed by a
+        Four levels of cycle-skipping compose here, each licensed by a
         frozen-state argument and each replaying exactly the per-cycle
-        side effects the legacy loop would have produced:
+        side effects the cycle kernel would have produced:
 
         * controllers micro-sleep between their own timing events while
           their queues are untouched (inside
           :meth:`~repro.controller.memory_controller.ChannelController.tick_event`);
+        * a core rolls over cycle boundaries while its actions stay local
+          (:meth:`~repro.cpu.core_model.Core.tick` with ``limit``) and
+          sleeps "ahead" until the cycle its tick returned, where it
+          resumes; a read completing for it meanwhile is recorded without
+          waking it, since the cycles it ran ahead could not have used it;
         * a core whose tick changed nothing sleeps until its recorded
           wake-up — a data arrival for its own loads, or space in the one
           queue that rejected it — accruing stall cycles lazily;
-        * when additionally no command issued and every awake core is in
-          pure gap retirement, the whole system jumps to the earliest
-          event (clamped to ``limit`` so measurement windows end exactly
-          where the legacy kernel's do).
+        * when additionally no command issued or read completed, the
+          whole system jumps to the earliest memory event or ahead core's
+          resumption (clamped to ``limit`` so measurement windows end
+          exactly where the cycle kernel's do).
         """
         cycle = self._current_cycle
         memory = self.memory
@@ -200,39 +210,47 @@ class Simulator:
         if completed:
             for request in completed:
                 core_id = request.core_id
-                if sleep[core_id] is not None:
+                record = sleep[core_id]
+                if record is not None and record[0] != "ahead":
                     self._wake_core(core_id, cycle)
                 cores[core_id].complete_load(request)
         controllers = memory.controllers
-        active = bool(completed) or memory.last_tick_issued
-        gap_cores = None
+        next_cycle = cycle + 1
+        horizon = limit
         for core_id, core in enumerate(cores):
             record = sleep[core_id]
             if record is not None:
                 kind = record[0]
                 if kind == "completion":
                     continue
-                controller = controllers[record[1]]
-                counter = (
-                    controller.read_retires
-                    if kind == "read_queue"
-                    else controller.write_retires
-                )
-                if counter == record[2]:
-                    continue
-                self._wake_core(core_id, cycle)
-            status = core.tick(cycle)
-            if status == CORE_ACTIVE:
-                active = True
-            elif status == CORE_GAP:
-                if gap_cores is None:
-                    gap_cores = [core]
+                if kind == "ahead":
+                    wake = record[1]
+                    if wake > cycle:
+                        if wake < horizon:
+                            horizon = wake
+                        continue
+                    sleep[core_id] = None
                 else:
-                    gap_cores.append(core)
+                    controller = controllers[record[1]]
+                    counter = (
+                        controller.read_retires
+                        if kind == "read_queue"
+                        else controller.write_retires
+                    )
+                    if counter == record[2]:
+                        continue
+                    self._wake_core(core_id, cycle)
+            wake = core.tick(cycle, limit)
+            if wake == next_cycle:
+                horizon = next_cycle
+            elif wake:
+                if wake < horizon:
+                    horizon = wake
+                sleep[core_id] = ("ahead", wake)
             else:
                 reason = core.block_reason
                 if reason[0] == "completion":
-                    sleep[core_id] = ("completion", -1, -1, cycle + 1)
+                    sleep[core_id] = ("completion", -1, -1, next_cycle)
                 else:
                     controller = controllers[reason[1]]
                     counter = (
@@ -240,24 +258,16 @@ class Simulator:
                         if reason[0] == "read_queue"
                         else controller.write_retires
                     )
-                    sleep[core_id] = (reason[0], reason[1], counter, cycle + 1)
-        self._current_cycle = cycle + 1
-        if active:
+                    sleep[core_id] = (reason[0], reason[1], counter, next_cycle)
+        self._current_cycle = next_cycle
+        if horizon == next_cycle or completed or memory.last_tick_issued:
             return
         next_event = memory.next_skip_event(cycle)
-        target = limit if next_event is None else min(next_event, limit)
-        if gap_cores is not None:
-            for core in gap_cores:
-                horizon = cycle + 1 + core.pure_gap_ticks()
-                if horizon < target:
-                    target = horizon
-        skipped = target - cycle - 1
+        target = horizon if next_event is None or next_event > horizon else next_event
+        skipped = target - next_cycle
         if skipped <= 0:
             return
         memory.skip_idle_cycles(skipped)
-        if gap_cores is not None:
-            for core in gap_cores:
-                core.skip_gap_cycles(skipped)
         self._current_cycle = target
 
     def _advance_to(self, limit: int) -> None:

@@ -252,6 +252,97 @@ class TestSnapshotRestore:
             LastLevelCache(CacheConfig()).restore(snapshot)
 
 
+def built_sets(llc: LastLevelCache) -> int:
+    return sum(cache_set is not None for cache_set in llc._table)
+
+
+class TestOnTouchRestore:
+    """A restore builds each set on first touch; every reader must see the
+    contents an eager restore (every set built at once) gives."""
+
+    K = 3
+
+    def restored_pair(self):
+        """``(on_touch, eager)`` caches restored from one snapshot."""
+        snapshot = warmed_directly(random_accesses(), 0).snapshot()
+        on_touch, eager = LastLevelCache(SMALL), LastLevelCache(SMALL)
+        on_touch.restore(snapshot, self.K)
+        eager.restore(snapshot, self.K)
+        eager._sets  # builds every set
+        assert built_sets(on_touch) == 0 and built_sets(eager) == SMALL.num_sets
+        return on_touch, eager
+
+    def probes(self, count: int = 300, seed: int = 11) -> list:
+        """Accesses shifted like the restore: the warm trace's latest
+        (mostly resident) lines interleaved with new ones."""
+        recent = random_accesses()[-count:]
+        fresh = random_accesses(count, seed)
+        return [
+            (self.K * SPAN + address, is_write)
+            for pair in zip(recent, fresh)
+            for address, is_write in pair
+        ]
+
+    def test_access_and_contains(self):
+        on_touch, eager = self.restored_pair()
+        resident_before = []
+        for address, is_write in self.probes():
+            resident_before.append(eager.contains(address))
+            assert on_touch.contains(address) == resident_before[-1]
+            assert on_touch.access(address, is_write) == eager.access(address, is_write)
+        assert any(resident_before) and not all(resident_before)
+        stats = lambda llc: (llc.hits, llc.misses, llc.writebacks)  # noqa: E731
+        assert stats(on_touch) == stats(eager)
+        assert resident(on_touch) == resident(eager)
+
+    def test_whole_cache_readers(self):
+        on_touch, eager = self.restored_pair()
+        assert on_touch.occupancy() == eager.occupancy()
+        on_touch, _ = self.restored_pair()
+        assert on_touch.snapshot() == eager.snapshot()
+        on_touch, _ = self.restored_pair()
+        on_touch.fill(self.probes())
+        eager.fill(self.probes())
+        assert resident(on_touch) == resident(eager)
+
+    def test_core_tick_lookups(self):
+        from repro.config.cpu_config import CPUConfig
+        from repro.controller.memory_controller import MemorySystem
+        from repro.cpu.core_model import Core
+        from repro.workloads.trace import TraceEntry
+
+        cores = []
+        for llc in self.restored_pair():
+            memory = MemorySystem(paper_system(mechanism="none", num_cores=1))
+            trace = iter(
+                [
+                    TraceEntry(gap=index % 5, address=address, is_write=is_write)
+                    for index, (address, is_write) in enumerate(self.probes(3000))
+                ]
+            )
+            core = Core(0, CPUConfig(num_cores=1), trace, llc, memory)
+            for cycle in range(300):
+                for request in memory.tick(cycle):
+                    core.complete_load(request)
+                core.tick(cycle)
+            cores.append(core)
+        on_touch, eager = cores
+        assert on_touch.stats == eager.stats and on_touch.stats.loads > 100
+        assert on_touch.llc.hits == eager.llc.hits > 0
+        assert resident(on_touch.llc) == resident(eager.llc)
+
+    def test_only_touched_sets_are_built(self):
+        on_touch, _ = self.restored_pair()
+        touched = set()
+        for address, is_write in self.probes(40):
+            on_touch.access(address, is_write)
+            touched.add(address // SMALL.line_bytes % SMALL.num_sets)
+            assert built_sets(on_touch) == len(touched)
+        assert len(touched) < SMALL.num_sets
+        on_touch.occupancy()
+        assert built_sets(on_touch) == SMALL.num_sets
+
+
 class TestWarmStates:
     def test_fetch_warms_once_then_serves_the_stored_snapshot(self):
         holder = WarmStates()

@@ -139,3 +139,36 @@ class TestWritebackBackpressure:
         core.reset_stats()
         assert core.stats.instructions == 0
         assert core.llc.hits == 0
+
+
+class TestRollover:
+    """``tick(cycle, limit)`` runs ahead through local cycles; what it
+    executes must be what per-cycle ticks would, whenever reads complete."""
+
+    ENTRIES = [
+        TraceEntry(gap=0, address=1 << 20, is_write=False),
+        TraceEntry(gap=10_000, address=0, is_write=False),
+    ]
+
+    def state(self, core):
+        return core.stats, core._executed_seq, core._gap_remaining
+
+    @pytest.mark.parametrize("completes_at", [3, 15, None])
+    def test_window_bound_rollover_matches_per_cycle_ticks(self, completes_at):
+        reference, _ = make_core(self.ENTRIES)
+        rolled, _ = make_core(self.ENTRIES)
+        limit = 40
+        wake = rolled.tick(0, limit)
+        # The miss is outstanding, so the rollover ends at a full window,
+        # long before the limit.
+        assert 1 < wake < limit and rolled.outstanding_loads() == 1
+        request = rolled._pending_loads[0][1]
+        for cycle in range(limit):
+            if cycle == completes_at:
+                reference.complete_load(reference._pending_loads[0][1])
+                rolled.complete_load(request)
+            reference.tick(cycle)
+            if cycle == wake:
+                wake = rolled.tick(cycle, limit) or cycle + 1
+        assert self.state(rolled) == self.state(reference)
+        assert reference.stats.dram_reads_issued == 1

@@ -5,8 +5,10 @@ import hashlib
 import json
 import multiprocessing
 import pickle
+import queue
 import signal
 import sqlite3
+import traceback
 
 import pytest
 
@@ -290,13 +292,22 @@ class TestStores:
         assert list(store.keys()) == ["k"]
 
 
-def _sqlite_writer(path, prefix, count, result_dict):
-    """Child-process entry: hammer one SQLite store with upserts."""
-    result = SimulationResult.from_dict(result_dict)
-    store = SqliteStore(path)
-    for index in range(count):
-        store.put(f"{prefix}-{index:03d}", result)
-    store.close()
+def _sqlite_writer(path, prefix, count, result_dict, reports):
+    """Child-process entry: hammer one SQLite store with upserts.
+
+    Puts one report on ``reports``: None, or the traceback of the failure
+    (which then propagates), so the parent's assertion can name its cause.
+    """
+    try:
+        result = SimulationResult.from_dict(result_dict)
+        store = SqliteStore(path)
+        for index in range(count):
+            store.put(f"{prefix}-{index:03d}", result)
+        store.close()
+    except BaseException:
+        reports.put(f"{prefix}: {traceback.format_exc()}")
+        raise
+    reports.put(None)
 
 
 def _killable_writer(path, result_dict, acks):
@@ -425,18 +436,29 @@ class TestSqliteStore:
         # parallel CI jobs) share one store safely.
         path = tmp_path / "cache.sqlite"
         writers, per_writer = 4, 25
+        reports = multiprocessing.Queue()
         processes = [
             multiprocessing.Process(
                 target=_sqlite_writer,
-                args=(path, f"writer{index}", per_writer, result.to_dict()),
+                args=(path, f"writer{index}", per_writer, result.to_dict(), reports),
             )
             for index in range(writers)
         ]
         for process in processes:
             process.start()
+        # Read every report before joining: joining a process whose queued
+        # data has not been read can deadlock.
+        failures = []
+        for _ in processes:
+            try:
+                report = reports.get(timeout=60)
+            except queue.Empty:
+                report = "a writer sent no report"
+            if report is not None:
+                failures.append(report)
         for process in processes:
             process.join(timeout=60)
-            assert process.exitcode == 0
+            assert process.exitcode == 0, failures
         store = SqliteStore(path)
         assert len(store) == writers * per_writer
         for index in range(writers):

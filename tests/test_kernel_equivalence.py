@@ -20,7 +20,8 @@ from repro.config.refresh_config import RefreshMechanism
 from repro.config.system import SystemConfig
 from repro.sim.simulator import Simulator
 from repro.workloads.benchmark_suite import get_benchmark
-from repro.workloads.mixes import make_workload
+from repro.workloads.mixes import make_workload, make_workload_category
+from repro.workloads.trace import TraceEntry
 
 #: Short windows keep the full 11 x 3 x 3 matrix fast while still covering
 #: several refresh intervals (tREFIpb) and a warmup reset per cell.
@@ -186,6 +187,66 @@ class TestKernelEquivalenceEdges:
             assert results[0] == results[1]
 
 
+class TestCoreRollover:
+    """LLC-resident workloads, where the event kernel rolls cores over
+    cycle boundaries.
+
+    Low-intensity cores mostly hit their warmed LLCs, so a tick runs
+    through many cycles at once and the event kernel calls it far less
+    often than once per core and cycle; the results must not show it.
+    """
+
+    @staticmethod
+    def simulate(kernel: str, workload, epoch_interval: int = 0):
+        """``(result dict, epoch samples, core tick calls)`` of one run."""
+        config = paper_system(
+            density_gb=32, mechanism="refab", num_cores=workload.num_cores
+        ).with_kernel(kernel)
+        if epoch_interval:
+            config = config.with_obs(epoch_interval=epoch_interval)
+        simulator = Simulator(config, workload)
+        calls = 0
+        for core in simulator.cores:
+
+            def counted(*args, tick=core.tick):
+                nonlocal calls
+                calls += 1
+                return tick(*args)
+
+            core.tick = counted
+        result = simulator.run(CYCLES, warmup=WARMUP).to_dict()
+        epochs = [sample.as_dict() for sample in simulator.epoch_samples]
+        return result, epochs, calls
+
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            make_workload([get_benchmark("povray_like")]),
+            make_workload_category(0, index=0, num_cores=8),
+        ],
+        ids=["1core", "8core"],
+    )
+    def test_llc_resident_run_is_bit_identical_with_few_ticks(self, workload):
+        reference, _, every_cycle = self.simulate("cycle", workload)
+        fast, _, calls = self.simulate("event", workload)
+        assert fast == reference
+        core_cycles = workload.num_cores * (CYCLES + WARMUP)
+        assert every_cycle == core_cycles
+        # Rollover, not only sleeping blocked cores: a quarter of the
+        # per-cycle calls is far more than these runs need.
+        assert calls < core_cycles // 4
+
+    def test_rollover_stops_at_epoch_boundaries(self):
+        """Epoch samples read the cores at every boundary, which a core
+        that had rolled past it would show."""
+        workload = make_workload_category(0, index=0, num_cores=8)
+        reference, reference_epochs, _ = self.simulate("cycle", workload, 97)
+        fast, epochs, calls = self.simulate("event", workload, 97)
+        assert len(epochs) == -(-CYCLES // 97)
+        assert (fast, epochs) == (reference, reference_epochs)
+        assert calls < workload.num_cores * (CYCLES + WARMUP) // 4
+
+
 class TestEventHorizons:
     """Semantics of the conservative ``next_event_cycle`` reference chain.
 
@@ -260,19 +321,39 @@ class TestEventHorizons:
         memory.device.bank(0, 0, 0).t_pre = 12
         assert memory.next_event_cycle(0) == 12
 
-    def test_core_horizon_tracks_pure_gap_run(self):
+    def test_core_rolls_over_whole_gap_cycles(self):
+        """A tick rolls through local cycles and stops before a miss."""
         config = paper_system(mechanism="none", num_cores=1)
         workload = make_workload([get_benchmark("gcc_like")], seed=0)
-        simulator = Simulator(config, workload)
-        core = simulator.cores[0]
         budget = config.cpu.insts_per_dram_cycle
-        core._gap_remaining = 3 * budget + 1
-        assert core.pure_gap_ticks() == 3
-        assert core.next_event_cycle(100) == 104
-        core._gap_remaining = budget - 1
-        assert core.pure_gap_ticks() == 0
-        # No self-scheduled event: blocked cores are woken by memory.
-        assert core.next_event_cycle(100) is None
+
+        def core_before_a_miss():
+            core = Simulator(config, workload).cores[0]
+            core._gap_remaining = 3 * budget + 1
+            # Far outside gcc_like's footprint: an LLC miss.
+            core._current_entry = TraceEntry(gap=0, address=1 << 33, is_write=False)
+            return core
+
+        # The cycle kernel's call, and a limit one cycle on: one cycle.
+        for limit in (0, 101):
+            core = core_before_a_miss()
+            assert core.tick(100, limit) == 101
+            assert core.stats.instructions == budget
+        # Two whole gap cycles roll in closed form; the rollover stops in
+        # cycle 103 before the miss, one instruction into its budget.
+        core = core_before_a_miss()
+        assert core.tick(100, 1000) == 103
+        assert core.stats.instructions == 3 * budget + 1
+        assert core._budget_left == budget - 1
+        assert core.stats.dram_reads_issued == core.stats.stall_cycles == 0
+        # Resumed at 103, the tick issues the miss with that cycle's budget.
+        assert core.tick(103, 1000) > 103
+        assert core.stats.dram_reads_issued == 1
+        # A limit inside the gap run stops the rollover there.
+        core = core_before_a_miss()
+        assert core.tick(100, 102) == 102
+        assert core.stats.instructions == 2 * budget
+        assert core._budget_left == budget
 
 
 class TestKernelConfiguration:

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config.obs_config import ObsConfig
 from repro.engine.jobs import SimulationJob
 from repro.obs.record import ALL_OPS, COMMAND_OPS, DECISION_OPS, TraceRecord
 from repro.obs.summarize import summarize_path, summarize_trace
-from repro.obs.trace import CommandTracer, read_trace, write_trace
+from repro.obs.trace import TRACE_SUFFIXES, CommandTracer, read_trace, write_trace
 from repro.sim.simulator import Simulator
 
 from tests.conftest import small_system, small_workload
@@ -115,6 +116,17 @@ class TestSinks:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_trace(tmp_path / "t.x", {}, [], fmt="csv")
+
+    def test_every_trace_format_has_a_suffix(self, tmp_path):
+        assert set(TRACE_SUFFIXES) == set(ObsConfig.TRACE_FORMATS)
+        for fmt, suffix in TRACE_SUFFIXES.items():
+            path = write_trace(tmp_path / f"t.{suffix}", {}, sample_records(), fmt=fmt)
+            assert read_trace(path)[1] == sample_records()
+
+    def test_unknown_format_error_names_every_format(self, tmp_path):
+        with pytest.raises(ValueError) as error:
+            write_trace(tmp_path / "t.x", {}, [], fmt="csv")
+        assert all(fmt in str(error.value) for fmt in ObsConfig.TRACE_FORMATS)
 
     def test_record_dict_round_trip(self):
         for record in sample_records():
