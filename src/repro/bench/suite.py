@@ -832,14 +832,14 @@ INTENSIVE_8CORE_REPS = 3
 #: ceilings here are structural, not tuning slack: the event kernel must
 #: stay bit-identical to the reference, and on the 8-core intensive mixes
 #: most wall time is work both kernels share (command legality probes,
-#: queue maintenance, DRAM state updates).  DSARP is the extreme case —
-#: its idle-bank refresh draws consume RNG state every cycle, so the event
-#: kernel must replay every draw tick and can only skip the fully
-#: quiescent spans, capping its ratio near 2.5x on this machine (REFab,
-#: with no per-cycle randomness, reaches ~2.9x).  The floors below are the
-#: levels both cells clear with wide margin across noisy runs; the actual
-#: measured ratios are recorded in the run's timings and tracked by the
-#: trend history.
+#: queue maintenance, DRAM state updates).  DSARP is the costlier cell:
+#: its refresh candidates (forced and owed idle banks, and the writeback
+#: target) follow the demand queues, so more of its cycles end a frozen
+#: window and run the full reference tick.  It draws no random numbers at
+#: the default pull-in budget, so there are no draw ticks to replay.  The
+#: floors below are the levels both cells clear with wide margin across
+#: noisy runs; the actual measured ratios are recorded in the run's
+#: timings and tracked by the trend history.
 INTENSIVE_8CORE_FLOORS = {"refab": 1.5, "dsarp": 1.3}
 
 
@@ -927,10 +927,10 @@ def _intensive_8core_format(payload) -> str:
             f"({row['speedup']:4.2f}x, floor {floor}x)"
         )
     lines.append(
-        "  DSARP's draw mode takes ~24% more kernel steps than REFab; its draw"
+        "  DSARP takes ~17% more kernel steps than REFab and runs no draw ticks;"
     )
     lines.append(
-        "  ticks are ~5% of the cell, window install ~30%; see README 'Hot path'."
+        "  window install is ~32-37% of every cell; see README 'Hot path'."
     )
     return "\n".join(lines)
 

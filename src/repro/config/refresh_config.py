@@ -89,18 +89,21 @@ class RefreshConfig:
     #: finite simulation windows this harness uses it would add refresh
     #: work inside the measured window that a real long-running system
     #: would amortize over future intervals, unfairly penalizing DARP.
-    #: DARP's scheduling freedom (refreshing *owed* refreshes out of order
-    #: and during writeback mode) is unaffected; set this to 8 to model the
-    #: full JEDEC allowance.
+    #: DARP still refreshes *owed* refreshes out of order and during
+    #: writeback mode, but Figure 8 step 3 (a random idle bank when demand
+    #: stalls) is then subsumed by step 2: its pool is the owed idle banks
+    #: step 2 has just tried, so DARP skips the draw.  Set this to 8 to
+    #: model the full JEDEC allowance.
     max_pullin: int = 0
     #: DARP ablation switches (Section 6.1.2): disable one component.
     enable_out_of_order: bool = True
     enable_write_refresh_parallelization: bool = True
-    #: Initial refresh backlog (per rank for elastic refresh, per bank for
-    #: DARP), modelling the steady state reached after running for many
-    #: refresh intervals under load.  Without it a short simulation window
-    #: would let postponing policies push most of their refresh work past
-    #: the end of the window, overstating their benefit.
+    #: Initial per-rank refresh backlog of elastic refresh, modelling the
+    #: steady state reached after running for many refresh intervals under
+    #: load.  Without it a short simulation window would let elastic
+    #: refresh push most of its refresh work past the end of the window,
+    #: overstating its benefit.  Only elastic refresh reads it: DARP starts
+    #: every bank's refresh debt at zero.
     steady_state_backlog: int = 7
     #: Elastic refresh: number of idle-period samples in the moving average.
     elastic_history: int = 32

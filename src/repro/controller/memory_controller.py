@@ -161,9 +161,13 @@ class ChannelController:
             self.stats.rejected_enqueues += 1
             return False
         version = queues.version
-        live = self._sleep_until != 0 and (
-            version == self._sleep_queue_version
-            or (self._dirty_keys is not None and version == self._dirty_version)
+        live = (
+            self._sleep_until != 0
+            and (
+                version == self._sleep_queue_version
+                or (self._dirty_keys is not None and version == self._dirty_version)
+            )
+            and self.refresh_policy.enqueue_preserves_window(*request.bank_key)
         )
         queues.enqueue(request)
         if self.calendar is not None:
@@ -179,18 +183,18 @@ class ChannelController:
     def _enqueue_update(self, request: MemRequest) -> None:
         """Fold an in-window enqueue into the frozen window incrementally.
 
-        An enqueue only touches one bank's demand queue; for policies that
-        certify enqueues cannot *add* pre-demand options
-        (:meth:`RefreshPolicy.enqueue_preserves_window` — demand arriving
-        can only make banks non-idle, removing refresh opportunities), the
-        rest of the frozen-window proof still holds, so the new request is
-        spliced into the persistent candidate set and the window
-        re-evaluated in place of the reference tick the version mismatch
-        would otherwise force.  Two extra guards mirror the post-issue
-        install: the write-drain state must remain at a fixed point with
-        the new occupancy, and the policy must not be per-cycle stateful.
-        Declining is always sound — the version mismatch then falls back
-        to a full reference tick.
+        An enqueue only touches one bank's demand queue; when the policy
+        certified, before the request joined the queue, that it cannot
+        *add* pre-demand options (:meth:`RefreshPolicy
+        .enqueue_preserves_window` — demand arriving can only make banks
+        non-idle, removing refresh opportunities), the rest of the
+        frozen-window proof still holds, so the new request is spliced
+        into the persistent candidate set and the window re-evaluated in
+        place of the reference tick the version mismatch would otherwise
+        force.  One extra guard mirrors the post-issue install: the
+        write-drain state must remain at a fixed point with the new
+        occupancy.  Declining is always sound — the version mismatch then
+        falls back to a full reference tick.
 
         The splice itself is *deferred*: the bank key joins
         :attr:`_dirty_keys` and the batch is drained in one incremental
@@ -200,10 +204,6 @@ class ChannelController:
         so same-cycle enqueues from several cores cost one window
         evaluation instead of one each.
         """
-        policy = self.refresh_policy
-        if not policy.enqueue_preserves_window():
-            self._dirty_keys = None
-            return
         occupancy = self.queues.write_count
         cfg = self.config.controller
         if self.drain.in_drain:
@@ -444,10 +444,11 @@ class ChannelController:
         """Window cycle for a policy that draws randomness every idle cycle.
 
         The window proves pre-demand and demand scheduling are no-ops, but
-        DARP's ``post_demand`` still draws a random pool bank per rank and
-        may issue a refresh; running the real hook keeps the RNG stream —
-        and any resulting issue — bit-identical to the reference kernel.
-        An issue ends the frozen span exactly like a full issuing tick.
+        DARP's ``post_demand`` (with a pull-in budget) still draws a
+        random pool bank per rank and may issue a refresh; running the
+        real hook keeps the RNG stream — and any resulting issue —
+        bit-identical to the reference kernel.  An issue ends the frozen
+        span exactly like a full issuing tick.
         """
         pending = self._pending_reads
         completed = (
@@ -550,13 +551,17 @@ class ChannelController:
         # Refresh candidates need their bank free of activity (t_act,
         # refresh markers) or a precharge first (t_pre); column deadlines
         # can never gate a refresh.  Rank-level refresh occupancy gates
-        # the legality of further refreshes in the rank.  The candidate
-        # lists — and every deadline of an *untouched* bank — are frozen
-        # across a licensed fast issue or in-window enqueue (``dirty``
-        # set): the license puts the wake strictly before every walked
-        # deadline, so none can have passed.  Incremental installs
-        # therefore refresh only the dirty bank's slot in the cached
-        # per-bank walk minima instead of re-walking every bank.
+        # the legality of further refreshes in the rank.  Every deadline
+        # of an *untouched* bank is frozen across a licensed fast issue or
+        # in-window enqueue (``dirty`` set): the license puts the wake
+        # strictly before every walked deadline, so none can have passed.
+        # Only the dirty bank can join the candidates (a retire can make
+        # it idle, or the bank with the fewest demands), so incremental
+        # installs re-ask its rank's candidates and refresh only its slot
+        # in the cached per-bank walk minima instead of re-walking every
+        # bank.  An untouched bank that left the candidates (a demoted
+        # Algorithm 1 target) keeps its slot: a watched deadline too many
+        # only ends the window early.
         channel = self.device.channels[self.channel_id]
         ranks = channel.ranks
         if dirty is None:
@@ -594,11 +599,24 @@ class ChannelController:
             self._walk_rank_min = min(rank_vals) if rank_vals else None
         else:
             walk_map = self._walk_map
+            walk_banks = self._walk_banks
             for key in dirty:
                 rank_index, bank_index = key
-                if bank_index not in self._walk_banks[rank_index]:
+                refresh_banks = policy.refresh_candidate_banks(rank_index)
+                if bank_index not in refresh_banks:
+                    walk_map.pop(key, None)
                     continue
-                bank = ranks[rank_index].banks[bank_index]
+                rank = ranks[rank_index]
+                if not walk_banks[rank_index]:
+                    # The rank's first candidate: its refresh occupancy
+                    # now gates a refresh, as in a full walk.
+                    rank_min = self._walk_rank_min
+                    for until in (rank.refab_until, rank.pb_refresh_until):
+                        if until > now and (rank_min is None or until < rank_min):
+                            rank_min = until
+                    self._walk_rank_min = rank_min
+                walk_banks[rank_index] = refresh_banks
+                bank = rank.banks[bank_index]
                 slot = None
                 if bank.t_act > now:
                     slot = bank.t_act

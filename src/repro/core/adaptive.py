@@ -108,5 +108,5 @@ class AdaptiveRefreshPolicy(RefreshPolicy):
         # Owed refresh work is issued as rank-wide REFab commands (1x or
         # 4x granularity), both of which involve every bank of the rank.
         if self._pending_quarters[rank] > 0:
-            return tuple(range(self.num_banks))
+            return self._every_bank
         return ()

@@ -71,5 +71,5 @@ class AllBankRefreshPolicy(RefreshPolicy):
         # An owed REFab needs every bank precharged and past its t_act, and
         # may first require precharges to any open bank of the rank.
         if self._pending[rank] > 0:
-            return tuple(range(self.num_banks))
+            return self._every_bank
         return ()

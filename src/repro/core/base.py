@@ -50,13 +50,6 @@ class RefreshPolicy(abc.ABC):
     #: so issuing ticks are always followed by a full reference tick.
     supports_post_issue_freeze = False
 
-    #: Whether this policy consumes randomness on cycles where demand
-    #: scheduling idles (DARP's randomized idle-bank draw).  While true at
-    #: window install, the event kernel runs cheap *draw ticks* that call
-    #: the real :meth:`post_demand` every cycle, keeping the RNG stream
-    #: bit-identical to the reference kernel.
-    uses_draw_ticks = False
-
     def __init__(self, config: SystemConfig, channel_id: int):
         self.config = config
         self.channel_id = channel_id
@@ -65,6 +58,9 @@ class RefreshPolicy(abc.ABC):
         self.organization = config.dram.organization
         self.num_ranks = self.organization.ranks_per_channel
         self.num_banks = self.organization.banks_per_rank
+        #: Every bank of a rank: the candidates of a rank-wide refresh,
+        #: built once because incremental window installs ask for them.
+        self._every_bank = tuple(range(self.num_banks))
         self.stats = RefreshStats()
         self.controller = None
         self._refpb_commands: dict[tuple[int, int], Command] = {}
@@ -74,19 +70,21 @@ class RefreshPolicy(abc.ABC):
         """Attach the policy to its channel controller."""
         self.controller = controller
 
-    def enqueue_preserves_window(self) -> bool:
-        """Whether a demand enqueue can be folded into a live frozen window.
+    def enqueue_preserves_window(self, rank: int, bank: int) -> bool:
+        """Whether a demand enqueue to (``rank``, ``bank``) can be folded
+        into a live frozen window.
 
-        True when new demand cannot *add* a pre-demand action for this
-        policy: arriving requests only make banks (and ranks) non-idle,
-        which removes refresh opportunities, so a ``pre_demand`` that was
-        provably idle through the window stays idle.  The default ties
-        this to :attr:`supports_post_issue_freeze` — per-cycle-stateful
-        policies (elastic refresh reacts to idle-counter edges an enqueue
-        resets) need the full reference tick a queue-version mismatch
-        forces.  DARP overrides this: in writeback mode its refresh
-        candidate is the bank with the *fewest* queued demands, which an
-        enqueue can move to an issuable bank.
+        Asked before the request joins its queue.  True when the new
+        demand cannot *add* a pre-demand action for this policy: arriving
+        requests only make banks (and ranks) non-idle, which removes
+        refresh opportunities, so a ``pre_demand`` that was provably idle
+        through the window stays idle.  The default ties this to
+        :attr:`supports_post_issue_freeze` — per-cycle-stateful policies
+        (elastic refresh reacts to idle-counter edges an enqueue resets)
+        need the full reference tick a queue-version mismatch forces.
+        DARP overrides this: in writeback mode its refresh candidate is
+        the bank with the *fewest* queued demands, which an enqueue to
+        that bank can move to an issuable one.
         """
         return self.supports_post_issue_freeze
 
@@ -132,13 +130,19 @@ class RefreshPolicy(abc.ABC):
         :meth:`next_event_cycle` so a policy whose horizon also reports
         "I could act *right now*" triggers (DARP's idle-bank draw) does
         not force one-cycle windows — those per-cycle draws run as draw
-        ticks inside the window instead (see :attr:`uses_draw_ticks`).
+        ticks inside the window instead (see :meth:`wants_draw_ticks`).
         """
         return self.next_event_cycle(now)
 
     def wants_draw_ticks(self) -> bool:
-        """True when every window cycle must run :meth:`post_demand` to
-        keep the policy's RNG stream identical (see :attr:`uses_draw_ticks`)."""
+        """True when every window cycle must run :meth:`post_demand`.
+
+        A policy that consumes randomness on cycles where demand
+        scheduling idles (DARP's randomized idle-bank draw, with a pull-in
+        budget) says so here at window install; the event kernel then
+        runs cheap *draw ticks* that call the real :meth:`post_demand`
+        every cycle, keeping the RNG stream bit-identical to the
+        reference kernel."""
         return False
 
     def skip_cycles(self, count: int) -> None:
@@ -159,10 +163,13 @@ class RefreshPolicy(abc.ABC):
         sleeps: a pending refresh that is currently illegal can only
         become issuable when one of its target banks' windows expires.
         Policies with no owed refresh work return an empty tuple, letting
-        the controller ignore stale bank deadlines entirely.  The
-        base implementation is maximally conservative.
+        the controller ignore stale bank deadlines entirely.  Incremental
+        window installs ask again for the rank of every bank a fast issue
+        or an enqueue touched, so the set may follow the demand queues
+        (DARP's owed idle banks do).  The base implementation is
+        maximally conservative.
         """
-        return tuple(range(self.num_banks))
+        return self._every_bank
 
     # -- reporting ---------------------------------------------------------------
     def stats_dict(self) -> dict:

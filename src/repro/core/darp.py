@@ -22,6 +22,13 @@ rotating round-robin) increments the debt of its nominal bank; issuing a
 REFpb to a bank decrements its debt.  Positive debt therefore counts
 postponed refreshes, negative debt counts pulled-in refreshes, and the
 JEDEC limits become ``-max_pullin <= debt <= max_postpone``.
+
+Figure 8's step 3 (a random idle bank, refreshed when demand scheduling
+issued nothing) only adds freedom when a pull-in budget lets it refresh
+banks that owe nothing.  At the default ``max_pullin = 0`` its pool is
+exactly the set of owed idle banks that step 2 tried, under the same
+legality test, earlier in the same cycle, so the draw could never issue:
+the policy then skips it and draws no random numbers at all.
 """
 
 from __future__ import annotations
@@ -40,9 +47,9 @@ class DARPPolicy(RefreshPolicy):
     # Every per-cycle decision is a pure function of the demand queues,
     # the debt table and device deadlines — no busy/idle edge tracking —
     # so frozen windows may start right after an issuing tick.  The
-    # randomized idle-bank draw is handled by draw ticks, not freezing.
+    # randomized idle-bank draw (with a pull-in budget only) is handled
+    # by draw ticks, not freezing.
     supports_post_issue_freeze = True
-    uses_draw_ticks = True
 
     def __init__(self, config, channel_id: int):
         super().__init__(config, channel_id)
@@ -57,11 +64,25 @@ class DARPPolicy(RefreshPolicy):
         #: representative — unlike elastic refresh, which rides its postpone
         #: budget under load and is therefore initialized with a backlog.
         self._debt = [[0] * self.num_banks for _ in range(self.num_ranks)]
+        refresh = config.refresh
+        #: Whether Figure 8 step 3 draws a random idle bank: only with a
+        #: pull-in budget (see the module docstring).
+        self._draws = refresh.enable_out_of_order and refresh.max_pullin > 0
+        #: Whether Algorithm 1 runs (in writeback mode).
+        self._write_parallel = (
+            refresh.enable_out_of_order
+            and refresh.enable_write_refresh_parallelization
+        )
         self._rng = random.Random(config.refresh.scheduler_seed + channel_id)
-        #: Bumped whenever any debt changes; keys the replay-pool cache.
+        #: Bumped whenever any debt changes; keys the pool and candidate
+        #: caches.
         self._debt_version = 0
-        #: Cached post-demand pools: (queue version, debt version, pools).
+        #: Cached post-demand pools: (idle version, debt version, pools).
         self._pool_cache: "tuple[int, int, list[tuple[int, list[int]]]] | None" = None
+        #: Cached per-rank forced and owed-idle banks (the refresh
+        #: candidates other than Algorithm 1's target): (idle version,
+        #: debt version, one tuple per rank).
+        self._candidate_cache: "tuple[int, int, list[tuple[int, ...]]] | None" = None
         #: The demand-count key of every bank in debt-table order, and the
         #: test of a debt for being within the pull-in budget (both for
         #: :meth:`wants_draw_ticks`).
@@ -219,12 +240,15 @@ class DARPPolicy(RefreshPolicy):
     def post_demand(self, cycle: int) -> Optional[Command]:
         """Figure 8, step 3: refresh a random idle bank when demand is stalled.
 
-        Draws from the cached :meth:`_post_demand_pools` — the pools are a
-        pure function of the demand queues and the debt table, so the
-        (version-keyed) cache returns the exact lists this method used to
-        rebuild per call, and RNG consumption is unchanged.
+        Only with a pull-in budget: at ``max_pullin = 0`` the pools hold
+        just the owed idle banks ``pre_demand`` step 2 found blocked this
+        cycle, so the hook returns at once and draws nothing.  Otherwise
+        it draws from the cached :meth:`_post_demand_pools` — a pure
+        function of the demand queues and the debt table, so the
+        (version-keyed) cache returns the exact lists a rebuild would,
+        and RNG consumption is unchanged.
         """
-        if not self.refresh_config.enable_out_of_order:
+        if not self._draws:
             return None
         for rank, pool in self._post_demand_pools():
             bank = self._rng.choice(pool)
@@ -244,30 +268,71 @@ class DARPPolicy(RefreshPolicy):
         """Quiesce only banks whose refresh can no longer be postponed."""
         return self._debt[rank][bank] >= self.refresh_config.max_postpone
 
-    def enqueue_preserves_window(self) -> bool:
-        """Enqueues only shrink DARP's idle pools — except in writeback
-        mode, where the write-refresh candidate (the bank with the fewest
-        queued demands, Algorithm 1) can *move* to an issuable bank when a
-        request arrives; a reference tick is then required."""
+    def enqueue_preserves_window(self, rank: int, bank: int) -> bool:
+        """Enqueues only make banks busy, which shrinks the owed-idle set
+        and the draw pools — except in writeback mode, where a request to
+        the rank's Algorithm 1 target (the first bank with the fewest
+        queued demands) can move the target to an issuable bank; a
+        reference tick is then required.  A request to any other bank
+        only raises a count the target already undercuts."""
         return not (
-            self.refresh_config.enable_write_refresh_parallelization
+            self._write_parallel
             and self.controller.in_writeback_mode
+            and bank == self._write_mode_candidate(rank)
         )
 
     # -- cycle-skipping kernel hooks --------------------------------------------
     def refresh_candidate_banks(self, rank: int) -> tuple[int, ...]:
-        """Banks DARP may refresh this cycle: forced, owed-idle, write-mode
-        or post-demand candidates.
+        """Banks of ``rank`` DARP can act on while the queues and the debt
+        table hold.
 
-        With a pull-in budget any bank can be refreshed ahead of schedule,
-        so every bank is a candidate; without one, only banks with
-        positive debt (owed refreshes) can be targeted by any of the four
-        selection paths.
+        These are the forced banks and the owed idle banks (steps 1 and 2
+        of :meth:`pre_demand`) and, in writeback mode, the rank's
+        Algorithm 1 target.  An owed bank that is postponed because it is
+        busy is left out: no path can refresh it until a retire makes it
+        idle or the new target, or its debt changes.  Figure 8 step 3's
+        random draw needs no watch: it never issues without a pull-in
+        budget, and with one it runs as a draw tick every window cycle.
+        Without out-of-order scheduling every owed bank is a candidate
+        (the round-robin fallback).  The forced and owed-idle part is
+        cached on the idle and debt versions.
         """
-        if self.refresh_config.max_pullin > 0:
-            return tuple(range(self.num_banks))
-        debts = self._debt[rank]
-        return tuple(bank for bank in range(self.num_banks) if debts[bank] > 0)
+        queues = self.controller.queues
+        cache = self._candidate_cache
+        if (
+            cache is None
+            or cache[0] != queues.idle_version
+            or cache[1] != self._debt_version
+        ):
+            cache = (
+                queues.idle_version,
+                self._debt_version,
+                self._scheduled_candidates(queues.demand_counts),
+            )
+            self._candidate_cache = cache
+        banks = cache[2][rank]
+        if self._write_parallel and self.controller.in_writeback_mode:
+            target = self._write_mode_candidate(rank)
+            if target is not None and target not in banks:
+                banks += (target,)
+        return banks
+
+    def _scheduled_candidates(self, counts) -> list[tuple[int, ...]]:
+        """Per rank, the banks steps 1 and 2 (or the round-robin fallback)
+        would try: forced and owed idle banks, or every owed bank."""
+        max_postpone = self.refresh_config.max_postpone
+        out_of_order = self.refresh_config.enable_out_of_order
+        candidates = []
+        for rank, debts in enumerate(self._debt):
+            candidates.append(
+                tuple(
+                    bank
+                    for bank, debt in enumerate(debts)
+                    if debt >= max_postpone
+                    or (debt > 0 and (not out_of_order or not counts[(rank, bank)]))
+                )
+            )
+        return candidates
 
     def _post_demand_pools(self) -> list[tuple[int, list[int]]]:
         """The per-rank candidate pools :meth:`post_demand` would draw from.
@@ -307,22 +372,24 @@ class DARPPolicy(RefreshPolicy):
         return pools
 
     def next_scheduled_event(self, now: int) -> Optional[int]:
-        """Only the next *due* refresh: the per-cycle randomized draw is
-        handled by draw ticks inside the window, not by collapsing the
-        window to one cycle (contrast :meth:`next_event_cycle`, the
-        conservative reference horizon)."""
+        """Only the next *due* refresh: with a pull-in budget the
+        per-cycle randomized draw runs as draw ticks inside the window
+        instead of collapsing the window to one cycle (contrast
+        :meth:`next_event_cycle`, the conservative reference horizon);
+        without one there is no draw."""
         return RefreshPolicy.next_event_cycle(self, now)
 
     def wants_draw_ticks(self) -> bool:
-        """True while :meth:`post_demand` would draw every cycle (non-empty
-        pools): window cycles must each consume the same randomness.
+        """True while :meth:`post_demand` would draw every cycle: a
+        pull-in budget and non-empty pools.  Window cycles must then each
+        consume the same randomness.
 
         Asked at every window install, when the pools are often stale, so
         a stale cache is not rebuilt: some pool is non-empty exactly when
         some rank has an idle bank within its pull-in budget.  Only the
         banks within the budget are visited, picked out at C level.
         """
-        if not self.refresh_config.enable_out_of_order:
+        if not self._draws:
             return False
         cache = self._pool_cache
         queues = self.controller.queues
@@ -349,9 +416,9 @@ class DARPPolicy(RefreshPolicy):
         draw might issue); the kernel is told the next event is ``now + 1``
         and simply keeps stepping.  Otherwise every pool bank stays
         blocked until a device timing deadline, which the device horizon
-        already covers.
+        already covers.  Without a pull-in budget nothing is drawn.
         """
-        if self.refresh_config.enable_out_of_order:
+        if self._draws:
             for rank, pool in self._post_demand_pools():
                 for bank in pool:
                     command = self._per_bank_command(rank, bank)
@@ -363,12 +430,13 @@ class DARPPolicy(RefreshPolicy):
         """Advance the RNG exactly as ``count`` fruitless cycles would have.
 
         During a skipped span the pools are frozen and no draw can issue
-        (guaranteed by :meth:`next_event_cycle`), but the legacy kernel
+        (guaranteed by :meth:`next_event_cycle`), but the cycle kernel
         would still have consumed one ``choice`` per non-empty pool per
         cycle.  Replaying those draws keeps the RNG stream — and therefore
         every future refresh decision — bit-identical across kernels.
+        Without a pull-in budget there is nothing to replay.
         """
-        if not self.refresh_config.enable_out_of_order:
+        if not self._draws:
             return
         pools = self._post_demand_pools()
         if not pools:
@@ -379,15 +447,18 @@ class DARPPolicy(RefreshPolicy):
                 choice(pool)
 
     def _write_mode_candidate(self, rank: int) -> Optional[int]:
-        """Bank with the lowest demand count whose pull-in budget allows a refresh."""
-        max_pullin = self.refresh_config.max_pullin
-        candidates = [
-            bank
-            for bank in range(self.num_banks)
-            if self._debt[rank][bank] > -max_pullin
-        ]
-        if not candidates:
-            return None
-        return min(
-            candidates, key=lambda bank: self.controller.demand_count(rank, bank)
-        )
+        """Bank with the lowest demand count whose pull-in budget allows a
+        refresh (the first such bank on a tie).
+
+        Every window install in writeback mode asks for it, so it reads
+        the demand counts directly.
+        """
+        floor = -self.refresh_config.max_pullin
+        counts = self.controller.queues.demand_counts
+        best = fewest = None
+        for bank, debt in enumerate(self._debt[rank]):
+            if debt > floor:
+                count = counts[(rank, bank)]
+                if fewest is None or count < fewest:
+                    best, fewest = bank, count
+        return best

@@ -136,7 +136,7 @@ class ElasticRefreshPolicy(RefreshPolicy):
         # Elastic refresh issues (and prepares) rank-wide REFab commands
         # whenever any refresh is owed.
         if self._pending[rank] > 0:
-            return tuple(range(self.num_banks))
+            return self._every_bank
         return ()
 
     def next_event_cycle(self, now: int) -> Optional[int]:

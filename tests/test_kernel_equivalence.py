@@ -187,6 +187,51 @@ class TestKernelEquivalenceEdges:
             assert results[0] == results[1]
 
 
+class TestDARPWindows:
+    """8-core intensive DARP cells, long enough to reach every DARP state.
+
+    The 2-core, 1,200-cycle cells above rarely meet a bank postponed
+    because it is busy, or writeback mode, so they barely exercise the
+    sleep windows' refresh-candidate walk (forced and owed idle banks,
+    and Algorithm 1's target in writeback mode) or the enqueues a window
+    folds in during writeback mode.  A short postpone budget makes busy
+    banks run out of it (forced refreshes).  Each cell also checks that
+    the branches it is there for actually ran.
+    """
+
+    CELLS = {
+        "darp": {},
+        "dsarp": {},
+        "darp-no-out-of-order": {"enable_out_of_order": False},
+        "darp-no-write-parallel": {"enable_write_refresh_parallelization": False},
+        "darp-short-postpone": {"max_postpone": 2},
+        "dsarp-pullin": {"max_pullin": 8},
+    }
+
+    @pytest.mark.parametrize("seed", (0, 1))
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    def test_intensive_cell_bit_identical(self, cell, seed):
+        options = self.CELLS[cell]
+        mechanism = cell.split("-")[0]
+        workload = make_workload_category(100, index=0, num_cores=8)
+        results = {}
+        for kernel in ("cycle", "event"):
+            config = paper_system(
+                density_gb=32, mechanism=mechanism, num_cores=8, **options
+            ).with_kernel(kernel)
+            simulator = Simulator(config, workload, seed=seed)
+            results[kernel] = simulator.run(6000, warmup=600).to_dict()
+        assert results["event"] == results["cycle"]
+        refresh = results["event"]["refresh_stats"]
+        if options.get("enable_out_of_order", True):
+            assert refresh["postponed"] > 0
+            if options.get("enable_write_refresh_parallelization", True):
+                assert refresh["write_mode_refreshes"] > 0
+        if "max_postpone" in options:
+            # Busy banks out of postpone budget: the forced refreshes.
+            assert refresh["forced"] > 0
+
+
 class TestCoreRollover:
     """LLC-resident workloads, where the event kernel rolls cores over
     cycle boundaries.

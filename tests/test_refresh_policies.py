@@ -200,8 +200,13 @@ class TestDARPPolicy:
         # on every call of a real 8-core run it must still say exactly
         # whether post_demand would draw.  The check rebuilds the pools
         # aside and puts the cache back, so the run takes the same paths.
-        config = paper_system(density_gb=32, mechanism=mechanism, num_cores=8)
-        sim = Simulator(config, make_workload_category(100, index=0, num_cores=8))
+        # Only a pull-in budget makes post_demand draw at all; on a
+        # half-intensive mix the banks both keep idle slack to pull in and
+        # sometimes all reach the budget, so both answers occur.
+        config = paper_system(
+            density_gb=32, mechanism=mechanism, num_cores=8, max_pullin=8
+        )
+        sim = Simulator(config, make_workload_category(50, index=0, num_cores=8))
         answers = {True: 0, False: 0}
         stale = 0
         for controller in sim.memory.controllers:
@@ -224,6 +229,57 @@ class TestDARPPolicy:
             policy.wants_draw_ticks = checked
         sim.run(1500, warmup=300)
         assert answers[True] and answers[False] and stale
+
+    @pytest.mark.parametrize("mechanism", ["darp", "dsarp"])
+    def test_step_three_pool_is_blocked_without_a_pullin_budget(self, mechanism):
+        # At max_pullin = 0, post_demand does not draw.  That is exact
+        # because its pools are the owed idle banks pre_demand step 2 has
+        # just tried: whenever pre_demand and select both come back empty,
+        # no pool bank passes the REFpb legality test, so no draw could
+        # have issued.
+        config = paper_system(
+            density_gb=32, mechanism=mechanism, num_cores=8
+        ).with_kernel("cycle")
+        sim = Simulator(config, make_workload_category(100, index=0, num_cores=8))
+        checked = 0
+        for controller in sim.memory.controllers:
+            policy = controller.refresh_policy
+            outcome = {}
+
+            def recorded(name, hook, outcome=outcome):
+                def wrapper(cycle):
+                    outcome[name] = hook(cycle)
+                    return outcome[name]
+
+                return wrapper
+
+            policy.pre_demand = recorded("pre", policy.pre_demand)
+            controller.scheduler.select = recorded(
+                "select", controller.scheduler.select
+            )
+
+            def tick(cycle, inner=controller.tick, policy=policy, outcome=outcome):
+                nonlocal checked
+                outcome.clear()
+                completed = inner(cycle)
+                if outcome["pre"] is None and outcome.get("select", 1) is None:
+                    for rank, pool in policy._post_demand_pools():
+                        rank_obj = policy.device.rank(policy.channel_id, rank)
+                        for bank in pool:
+                            bank_obj = rank_obj.banks[bank]
+                            assert (
+                                bank_obj.open_row is not None
+                                or cycle < bank_obj.t_act
+                                or cycle < bank_obj.refresh_until
+                                or cycle < rank_obj.refab_until
+                                or cycle < rank_obj.pb_refresh_until
+                            )
+                            checked += 1
+                return completed
+
+            controller.tick = tick
+        result = sim.run(1500, warmup=300)
+        assert checked > 0 and result.refresh_stats["postponed"] > 0
 
 
 class TestAdaptivePolicy:
