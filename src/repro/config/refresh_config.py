@@ -98,12 +98,13 @@ class RefreshConfig:
     #: DARP ablation switches (Section 6.1.2): disable one component.
     enable_out_of_order: bool = True
     enable_write_refresh_parallelization: bool = True
-    #: Initial per-rank refresh backlog of elastic refresh, modelling the
-    #: steady state reached after running for many refresh intervals under
-    #: load.  Without it a short simulation window would let elastic
-    #: refresh push most of its refresh work past the end of the window,
-    #: overstating its benefit.  Only elastic refresh reads it: DARP starts
-    #: every bank's refresh debt at zero.
+    #: The per-rank refresh backlog elastic refresh is assumed to carry in
+    #: steady state under load.  Elastic refresh still starts owing
+    #: nothing; it cuts its postpone budget to ``max_postpone`` minus this
+    #: backlog (keeping at least one), so a short simulation window cannot
+    #: let it push most of its refresh work past the end of the window and
+    #: overstate its benefit.  Only elastic refresh reads it: DARP starts
+    #: every bank's refresh debt at zero with its full budget.
     steady_state_backlog: int = 7
     #: Elastic refresh: number of idle-period samples in the moving average.
     elastic_history: int = 32

@@ -96,7 +96,7 @@ class RequestQueues:
             self.reads[key].remove(request)
             self.read_count -= 1
 
-    # -- occupancy queries (used by FR-FCFS, DARP and Elastic refresh) -----
+    # -- occupancy queries (the refresh policies read them via the controller)
     def demand_count(self, bank_key: tuple[int, int]) -> int:
         """Pending demand (read + write) requests for one bank."""
         return self.demand_counts[bank_key]
@@ -106,25 +106,6 @@ class RequestQueues:
         return sum(
             self.demand_count(key) for key in self.bank_keys if key[0] == rank
         )
-
-    def idle_banks(self, rank: Optional[int] = None) -> list[tuple[int, int]]:
-        """Banks with no pending demand requests (optionally within a rank)."""
-        keys = (
-            self.bank_keys
-            if rank is None
-            else [k for k in self.bank_keys if k[0] == rank]
-        )
-        return [key for key in keys if self.demand_count(key) == 0]
-
-    def bank_with_fewest_demands(self, rank: int) -> tuple[int, int]:
-        """Bank of ``rank`` with the lowest demand-queue occupancy.
-
-        Used by DARP's write-refresh parallelization (Algorithm 1): the bank
-        with the fewest pending requests is the best refresh candidate
-        during writeback mode.
-        """
-        candidates = [key for key in self.bank_keys if key[0] == rank]
-        return min(candidates, key=self.demand_count)
 
     def pending_row_hit(
         self,

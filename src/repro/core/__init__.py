@@ -16,6 +16,12 @@ Chang et al. (HPCA 2014):
 * :class:`~repro.core.adaptive.AdaptiveRefreshPolicy` — adaptive refresh
   (Mukundan et al.).
 
+Every mechanism shares one refresh schedule, kept by
+:class:`~repro.core.base.RefreshPolicy`: the ranks' due cycles, one signed
+owed-refresh table and its accessor ``refresh_debt(rank, bank=None)``.  A
+new mechanism declares its ``schedule`` and implements only its issue
+decisions (see :mod:`repro.core.base` for the hooks).
+
 SARP itself (Subarray Access Refresh Parallelization) is not a scheduling
 policy: it is a DRAM modification implemented in :mod:`repro.dram` and
 enabled through ``RefreshMechanism.uses_sarp``; the factory pairs it with

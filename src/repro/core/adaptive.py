@@ -31,15 +31,13 @@ class AdaptiveRefreshPolicy(RefreshPolicy):
     #: The granularity mode is recomputed in ``pre_demand`` before use and
     #: is idempotent under frozen queues, so post-issue freezing is safe.
     supports_post_issue_freeze = True
+    schedule = "rank"
+    #: Owed refresh work is counted in quarters of a 1x refresh: a 4x
+    #: sub-refresh pays one quarter, a 1x refresh all four.
+    due_units = 4
 
     def __init__(self, config, channel_id: int):
         super().__init__(config, channel_id)
-        interval = self.timings.tREFIab
-        self._next_due = [
-            self._initial_due(interval, rank) for rank in range(self.num_ranks)
-        ]
-        #: Refresh work owed per rank, in quarters of a 1x refresh.
-        self._pending_quarters = [0] * self.num_ranks
         #: Duration (cycles) of one 4x sub-refresh.  DDR4 FGR shrinks tRFC by
         #: only 1.63x while quadrupling the refresh rate, so the four
         #: sub-refreshes together cost 2.45x the latency of one 1x refresh.
@@ -64,24 +62,12 @@ class AdaptiveRefreshPolicy(RefreshPolicy):
             return 4
         return 1
 
-    # -- schedule bookkeeping --------------------------------------------------------
-    def _accumulate_due(self, cycle: int) -> None:
-        interval = self.timings.tREFIab
-        for rank in range(self.num_ranks):
-            while cycle >= self._next_due[rank]:
-                self._pending_quarters[rank] += 4
-                self._next_due[rank] += interval
-
-    def pending_refreshes(self, rank: int) -> int:
-        """Owed refresh work, expressed in whole 1x refreshes (rounded up)."""
-        return (self._pending_quarters[rank] + 3) // 4
-
     # -- policy hooks ------------------------------------------------------------------
     def pre_demand(self, cycle: int) -> Optional[Command]:
-        self._accumulate_due(cycle)
+        self.accrue(cycle)
         device = self.device
-        for rank in range(self.num_ranks):
-            if self._pending_quarters[rank] <= 0:
+        for rank, (owed,) in enumerate(self._owed):
+            if owed <= 0:
                 continue
             self._mode[rank] = self._select_mode(rank)
             if self._mode[rank] == 4:
@@ -93,7 +79,7 @@ class AdaptiveRefreshPolicy(RefreshPolicy):
             command = self._all_bank_command(rank)
             command.duration = duration
             if device.can_issue(command, cycle):
-                self._pending_quarters[rank] -= quarters
+                self._paid(rank, units=quarters)
                 self.stats.all_bank_issued += 1
                 return command
             precharge = self._precharge_for_refresh(cycle, rank)
@@ -102,11 +88,11 @@ class AdaptiveRefreshPolicy(RefreshPolicy):
         return None
 
     def blocks_demand(self, cycle: int, rank: int, bank: int) -> bool:
-        return self._pending_quarters[rank] > 0
+        return self._owed[rank][0] > 0
 
     def refresh_candidate_banks(self, rank: int) -> tuple[int, ...]:
         # Owed refresh work is issued as rank-wide REFab commands (1x or
         # 4x granularity), both of which involve every bank of the rank.
-        if self._pending_quarters[rank] > 0:
+        if self._owed[rank][0] > 0:
             return self._every_bank
         return ()

@@ -21,40 +21,21 @@ from repro.dram.commands import Command
 class AllBankRefreshPolicy(RefreshPolicy):
     """Rank-level refresh issued on schedule, with priority over demand."""
 
-    #: Pure function of (cycle, pending refreshes, device deadlines): a
+    #: Pure function of (cycle, owed refreshes, device deadlines): a
     #: frozen window may start right after an issuing tick.
     supports_post_issue_freeze = True
-
-    def __init__(self, config, channel_id: int):
-        super().__init__(config, channel_id)
-        interval = self.timings.tREFIab
-        self._next_due = [
-            self._initial_due(interval, rank) for rank in range(self.num_ranks)
-        ]
-        self._pending = [0] * self.num_ranks
-
-    # -- schedule bookkeeping -------------------------------------------------
-    def _accumulate_due(self, cycle: int) -> None:
-        interval = self.timings.tREFIab
-        for rank in range(self.num_ranks):
-            while cycle >= self._next_due[rank]:
-                self._pending[rank] += 1
-                self._next_due[rank] += interval
-
-    def pending_refreshes(self, rank: int) -> int:
-        """Refreshes owed (due but not yet issued) by ``rank``."""
-        return self._pending[rank]
+    schedule = "rank"
 
     # -- policy hooks ------------------------------------------------------------
     def pre_demand(self, cycle: int) -> Optional[Command]:
-        self._accumulate_due(cycle)
+        self.accrue(cycle)
         device = self.device
-        for rank in range(self.num_ranks):
-            if self._pending[rank] <= 0:
+        for rank, (owed,) in enumerate(self._owed):
+            if owed <= 0:
                 continue
             command = self._all_bank_command(rank)
             if device.can_issue(command, cycle):
-                self._pending[rank] -= 1
+                self._paid(rank)
                 self.stats.all_bank_issued += 1
                 return command
             precharge = self._precharge_for_refresh(cycle, rank)
@@ -65,11 +46,11 @@ class AllBankRefreshPolicy(RefreshPolicy):
     def blocks_demand(self, cycle: int, rank: int, bank: int) -> bool:
         # A rank owing a refresh stops accepting new demand so it can drain
         # and start refreshing; this is the source of REFab's penalty.
-        return self._pending[rank] > 0
+        return self._owed[rank][0] > 0
 
     def refresh_candidate_banks(self, rank: int) -> tuple[int, ...]:
         # An owed REFab needs every bank precharged and past its t_act, and
         # may first require precharges to any open bank of the rank.
-        if self._pending[rank] > 0:
+        if self._owed[rank][0] > 0:
             return self._every_bank
         return ()

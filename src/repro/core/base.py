@@ -1,5 +1,17 @@
 """Base class and shared bookkeeping for refresh policies.
 
+:class:`RefreshPolicy` owns the refresh schedule every mechanism shares.
+A policy declares its :attr:`~RefreshPolicy.schedule` — one refresh per
+rank every tREFIab (REFab, elastic, AR), one per rank every tREFIpb owed
+by the rank's round-robin nominal bank (REFpb, DARP), or none (No REF) —
+and the base class staggers the ranks' due cycles, accrues due refreshes
+into one signed owed table (:meth:`RefreshPolicy.accrue`), takes issued
+ones off it (:meth:`RefreshPolicy._paid`) and reports it through one
+accessor, :meth:`RefreshPolicy.refresh_debt`.  A mechanism implements
+only its issue decisions: the per-cycle hooks below, its
+:meth:`~RefreshPolicy.refresh_candidate_banks`, and, if it postpones
+refreshes, the :meth:`~RefreshPolicy._postpones` rule.
+
 A refresh policy is bound to one channel controller and is consulted every
 DRAM cycle at two points (see :mod:`repro.controller`):
 
@@ -18,7 +30,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional
+from typing import Literal, Optional
 
 from repro.config.system import SystemConfig
 from repro.dram.commands import Command, CommandType
@@ -50,6 +62,14 @@ class RefreshPolicy(abc.ABC):
     #: so issuing ticks are always followed by a full reference tick.
     supports_post_issue_freeze = False
 
+    #: The due schedule the policy owes against: ``"rank"`` owes one
+    #: refresh per rank every tREFIab, ``"bank"`` one per rank every
+    #: tREFIpb to the rank's round-robin nominal bank, and ``None`` (the
+    #: ideal No REF baseline) owes nothing.
+    schedule: Optional[Literal["rank", "bank"]] = None
+    #: Owed work one due refresh adds to its slot of the owed table.
+    due_units = 1
+
     def __init__(self, config: SystemConfig, channel_id: int):
         self.config = config
         self.channel_id = channel_id
@@ -64,6 +84,24 @@ class RefreshPolicy(abc.ABC):
         self.stats = RefreshStats()
         self.controller = None
         self._refpb_commands: dict[tuple[int, int], Command] = {}
+        per_bank = self.schedule == "bank"
+        self._interval = self.timings.tREFIpb if per_bank else self.timings.tREFIab
+        #: Slots per rank in the owed table: one per bank on a per-bank
+        #: schedule, one for the whole rank otherwise.
+        self._slots = self.num_banks if per_bank else 1
+        #: Cycle at which each rank next owes a refresh (none unscheduled).
+        self._next_due = [
+            self._initial_due(self._interval, rank)
+            for rank in range(self.num_ranks if self.schedule else 0)
+        ]
+        #: The slot the next due refresh of each rank is owed by.
+        self._nominal = [0] * self.num_ranks
+        #: Signed owed work per (rank, slot): due refreshes add to it and
+        #: issued ones take from it, so positive counts postponed work and
+        #: negative counts pulled-in work.
+        self._owed = [[0] * self._slots for _ in range(self.num_ranks)]
+        #: Bumped on every change of the owed table; caches key on it.
+        self._owed_version = 0
 
     # -- wiring -------------------------------------------------------------
     def bind(self, controller) -> None:
@@ -92,6 +130,48 @@ class RefreshPolicy(abc.ABC):
     def device(self):
         return self.controller.device
 
+    # -- the refresh schedule ------------------------------------------------
+    def accrue(self, cycle: int) -> None:
+        """Owe every refresh that has fallen due by ``cycle``.
+
+        Called at the top of :meth:`pre_demand`; with nothing due it costs
+        one comparison per rank.
+        """
+        next_due = self._next_due
+        for rank in range(len(next_due)):
+            while cycle >= next_due[rank]:
+                slot = self._nominal[rank]
+                self._owed[rank][slot] += self.due_units
+                self._owed_version += 1
+                if self._postpones(cycle, rank, slot):
+                    self.stats.postponed += 1
+                self._nominal[rank] = (slot + 1) % self._slots
+                next_due[rank] += self._interval
+
+    def _postpones(self, cycle: int, rank: int, slot: int) -> bool:
+        """Whether the refresh that just fell due to (``rank``, ``slot``)
+        counts as postponed; mechanisms that postpone by rule say so."""
+        return False
+
+    def _paid(self, rank: int, slot: int = 0, units: int = 1) -> None:
+        """Take an issued refresh (``units`` of owed work) off the table."""
+        self._owed[rank][slot] -= units
+        self._owed_version += 1
+
+    def refresh_debt(self, rank: int, bank: Optional[int] = None) -> int:
+        """Refresh work ``rank`` owes, in :attr:`due_units` per refresh:
+        due but not yet issued (positive) or issued ahead of schedule
+        (negative).
+
+        ``bank=None`` gives the rank's total.  On a per-bank schedule a
+        bank gives that bank's own debt; on a rank-wide one every bank
+        owes what its rank owes, since one REFab refreshes them all.
+        """
+        owed = self._owed[rank]
+        if bank is None:
+            return sum(owed)
+        return owed[bank] if self._slots > 1 else owed[0]
+
     # -- per-cycle hooks ------------------------------------------------------
     def pre_demand(self, cycle: int) -> Optional[Command]:
         """Refresh-related command to issue *before* demand scheduling."""
@@ -117,7 +197,7 @@ class RefreshPolicy(abc.ABC):
         :meth:`repro.dram.device.DRAMDevice.next_event_cycle` and need not
         be repeated here.  ``None`` means "no self-scheduled event".
         """
-        due = getattr(self, "_next_due", None)
+        due = self._next_due
         if not due:
             return None
         earliest = min(due)
@@ -150,9 +230,9 @@ class RefreshPolicy(abc.ABC):
 
         Called by the event kernel after a cycle in which this policy was
         consulted and did nothing, for a span over which its inputs are
-        provably frozen.  The deterministic policies accumulate due
-        refreshes lazily from the cycle number, so they have nothing to
-        replay; DARP overrides this to keep its RNG stream bit-identical.
+        provably frozen.  The deterministic policies accrue due refreshes
+        lazily from the cycle number, so they have nothing to replay; DARP
+        overrides this to keep its RNG stream bit-identical.
         """
 
     def refresh_candidate_banks(self, rank: int) -> tuple[int, ...]:

@@ -50,20 +50,16 @@ class DARPPolicy(RefreshPolicy):
     # randomized idle-bank draw (with a pull-in budget only) is handled
     # by draw ticks, not freezing.
     supports_post_issue_freeze = True
+    #: The owed table is the per-bank refresh debt of the module docstring.
+    #: DARP pays its debt proactively (idle-bank and writeback-mode
+    #: refreshes), so its steady-state debt is low and a zero start is
+    #: representative.  Elastic refresh, which rides its postpone budget
+    #: under load, also starts owing nothing but cuts that budget by the
+    #: configured steady-state backlog instead.
+    schedule = "bank"
 
     def __init__(self, config, channel_id: int):
         super().__init__(config, channel_id)
-        interval = self.timings.tREFIpb
-        self._next_due = [
-            self._initial_due(interval, rank) for rank in range(self.num_ranks)
-        ]
-        self._round_robin = [0] * self.num_ranks
-        #: Signed refresh debt per (rank, bank); see the module docstring.
-        #: DARP pays its debt proactively (idle-bank and writeback-mode
-        #: refreshes), so its steady-state debt is low and a zero start is
-        #: representative — unlike elastic refresh, which rides its postpone
-        #: budget under load and is therefore initialized with a backlog.
-        self._debt = [[0] * self.num_banks for _ in range(self.num_ranks)]
         refresh = config.refresh
         #: Whether Figure 8 step 3 draws a random idle bank: only with a
         #: pull-in budget (see the module docstring).
@@ -74,9 +70,6 @@ class DARPPolicy(RefreshPolicy):
             and refresh.enable_write_refresh_parallelization
         )
         self._rng = random.Random(config.refresh.scheduler_seed + channel_id)
-        #: Bumped whenever any debt changes; keys the pool and candidate
-        #: caches.
-        self._debt_version = 0
         #: Cached post-demand pools: (idle version, debt version, pools).
         self._pool_cache: "tuple[int, int, list[tuple[int, list[int]]]] | None" = None
         #: Cached per-rank forced and owed-idle banks (the refresh
@@ -94,31 +87,19 @@ class DARPPolicy(RefreshPolicy):
         self._within_pullin = (-config.refresh.max_pullin).__lt__
 
     # -- bookkeeping ---------------------------------------------------------------
-    def refresh_debt(self, rank: int, bank: int) -> int:
-        """Outstanding refresh debt of a bank (positive = postponed)."""
-        return self._debt[rank][bank]
-
-    def _accumulate_due(self, cycle: int) -> None:
-        interval = self.timings.tREFIpb
-        out_of_order = self.refresh_config.enable_out_of_order
-        for rank in range(self.num_ranks):
-            while cycle >= self._next_due[rank]:
-                nominal = self._round_robin[rank]
-                self._debt[rank][nominal] += 1
-                self._debt_version += 1
-                if (
-                    out_of_order
-                    and self._debt[rank][nominal] < self.refresh_config.max_postpone
-                    and self.controller.demand_count(rank, nominal) > 0
-                ):
-                    self.stats.postponed += 1
-                    tracer = self.controller.tracer
-                    if tracer is not None:
-                        tracer.decision(
-                            "DARP_POSTPONE", cycle, self.channel_id, rank, nominal
-                        )
-                self._round_robin[rank] = (nominal + 1) % self.num_banks
-                self._next_due[rank] += interval
+    def _postpones(self, cycle: int, rank: int, bank: int) -> bool:
+        """A refresh falling due to a busy bank with postpone budget left
+        is postponed (out-of-order scheduling only)."""
+        if not (
+            self.refresh_config.enable_out_of_order
+            and self._owed[rank][bank] < self.refresh_config.max_postpone
+            and self.controller.demand_count(rank, bank) > 0
+        ):
+            return False
+        tracer = self.controller.tracer
+        if tracer is not None:
+            tracer.decision("DARP_POSTPONE", cycle, self.channel_id, rank, bank)
+        return True
 
     def _issue_refresh(self, cycle: int, rank: int, bank: int) -> Optional[Command]:
         """Try to issue a REFpb to (rank, bank); returns the command or None.
@@ -141,19 +122,18 @@ class DARPPolicy(RefreshPolicy):
         ):
             return None
         command = self._per_bank_command(rank, bank)
-        self._debt[rank][bank] -= 1
-        self._debt_version += 1
+        self._paid(rank, bank)
         self.stats.per_bank_issued += 1
         return command
 
     # -- policy hooks ----------------------------------------------------------------
     def pre_demand(self, cycle: int) -> Optional[Command]:
-        self._accumulate_due(cycle)
+        self.accrue(cycle)
         max_postpone = self.refresh_config.max_postpone
         out_of_order = self.refresh_config.enable_out_of_order
 
         for rank in range(self.num_ranks):
-            debts = self._debt[rank]
+            debts = self._owed[rank]
 
             # 1. Forced refreshes: a bank whose postpone budget is exhausted
             #    must be refreshed now, with priority over demand (Figure 8,
@@ -223,7 +203,7 @@ class DARPPolicy(RefreshPolicy):
                     command = self._issue_refresh(cycle, rank, candidate)
                     if command is not None:
                         self.stats.write_mode_refreshes += 1
-                        if self._debt[rank][candidate] < 0:
+                        if self._owed[rank][candidate] < 0:
                             self.stats.pulled_in += 1
                         tracer = self.controller.tracer
                         if tracer is not None:
@@ -254,7 +234,7 @@ class DARPPolicy(RefreshPolicy):
             bank = self._rng.choice(pool)
             command = self._issue_refresh(cycle, rank, bank)
             if command is not None:
-                if self._debt[rank][bank] < 0:
+                if self._owed[rank][bank] < 0:
                     self.stats.pulled_in += 1
                 tracer = self.controller.tracer
                 if tracer is not None:
@@ -266,7 +246,7 @@ class DARPPolicy(RefreshPolicy):
 
     def blocks_demand(self, cycle: int, rank: int, bank: int) -> bool:
         """Quiesce only banks whose refresh can no longer be postponed."""
-        return self._debt[rank][bank] >= self.refresh_config.max_postpone
+        return self._owed[rank][bank] >= self.refresh_config.max_postpone
 
     def enqueue_preserves_window(self, rank: int, bank: int) -> bool:
         """Enqueues only make banks busy, which shrinks the owed-idle set
@@ -302,11 +282,11 @@ class DARPPolicy(RefreshPolicy):
         if (
             cache is None
             or cache[0] != queues.idle_version
-            or cache[1] != self._debt_version
+            or cache[1] != self._owed_version
         ):
             cache = (
                 queues.idle_version,
-                self._debt_version,
+                self._owed_version,
                 self._scheduled_candidates(queues.demand_counts),
             )
             self._candidate_cache = cache
@@ -323,7 +303,7 @@ class DARPPolicy(RefreshPolicy):
         max_postpone = self.refresh_config.max_postpone
         out_of_order = self.refresh_config.enable_out_of_order
         candidates = []
-        for rank, debts in enumerate(self._debt):
+        for rank, debts in enumerate(self._owed):
             candidates.append(
                 tuple(
                     bank
@@ -351,14 +331,14 @@ class DARPPolicy(RefreshPolicy):
         if (
             cache is not None
             and cache[0] == version
-            and cache[1] == self._debt_version
+            and cache[1] == self._owed_version
         ):
             return cache[2]
         max_pullin = self.refresh_config.max_pullin
         counts = queues.demand_counts
         pools = []
         for rank in range(self.num_ranks):
-            debts = self._debt[rank]
+            debts = self._owed[rank]
             idle_banks = [
                 bank
                 for bank in range(self.num_banks)
@@ -368,7 +348,7 @@ class DARPPolicy(RefreshPolicy):
                 continue
             owed = [bank for bank in idle_banks if debts[bank] > 0]
             pools.append((rank, owed if owed else idle_banks))
-        self._pool_cache = (version, self._debt_version, pools)
+        self._pool_cache = (version, self._owed_version, pools)
         return pools
 
     def next_scheduled_event(self, now: int) -> Optional[int]:
@@ -396,11 +376,11 @@ class DARPPolicy(RefreshPolicy):
         if (
             cache is not None
             and cache[0] == queues.idle_version
-            and cache[1] == self._debt_version
+            and cache[1] == self._owed_version
         ):
             return bool(cache[2])
         counts = queues.demand_counts
-        debts = chain.from_iterable(self._debt)
+        debts = chain.from_iterable(self._owed)
         for key in compress(self._bank_keys, map(self._within_pullin, debts)):
             if not counts[key]:
                 return True
@@ -456,7 +436,7 @@ class DARPPolicy(RefreshPolicy):
         floor = -self.refresh_config.max_pullin
         counts = self.controller.queues.demand_counts
         best = fewest = None
-        for bank, debt in enumerate(self._debt[rank]):
+        for bank, debt in enumerate(self._owed[rank]):
             if debt > floor:
                 count = counts[(rank, bank)]
                 if fewest is None or count < fewest:

@@ -24,13 +24,10 @@ from repro.dram.commands import Command
 class ElasticRefreshPolicy(RefreshPolicy):
     """All-bank refresh postponed into predicted rank-idle periods."""
 
+    schedule = "rank"
+
     def __init__(self, config, channel_id: int):
         super().__init__(config, channel_id)
-        interval = self.timings.tREFIab
-        self._next_due = [
-            self._initial_due(interval, rank) for rank in range(self.num_ranks)
-        ]
-        self._pending = [0] * self.num_ranks
         # Under sustained load, elastic refresh rides its postpone budget:
         # most of the eight-command credit is already spent in steady state.
         # A short simulation window that started with the full credit would
@@ -75,35 +72,27 @@ class ElasticRefreshPolicy(RefreshPolicy):
         are forced regardless.
         """
         limit = self._effective_postpone
-        backlog = min(self._pending[rank], limit)
+        backlog = min(self._owed[rank][0], limit)
         patience = (limit - backlog) / limit
         return self._avg_idle[rank] * patience
 
     # -- schedule bookkeeping --------------------------------------------------------
-    def _accumulate_due(self, cycle: int) -> None:
-        interval = self.timings.tREFIab
-        for rank in range(self.num_ranks):
-            while cycle >= self._next_due[rank]:
-                self._pending[rank] += 1
-                self._next_due[rank] += interval
-                if self._pending[rank] > 1:
-                    self.stats.postponed += 1
-
-    def pending_refreshes(self, rank: int) -> int:
-        return self._pending[rank]
+    def _postpones(self, cycle: int, rank: int, slot: int) -> bool:
+        # A refresh falling due while an earlier one is still owed waits.
+        return self._owed[rank][0] > 1
 
     # -- policy hooks --------------------------------------------------------------------
     def pre_demand(self, cycle: int) -> Optional[Command]:
-        self._accumulate_due(cycle)
+        self.accrue(cycle)
         self._update_idle_tracking(cycle)
         device = self.device
-        for rank in range(self.num_ranks):
-            if self._pending[rank] < self._effective_postpone:
+        for rank, (owed,) in enumerate(self._owed):
+            if owed < self._effective_postpone:
                 continue
             # Postpone budget exhausted: force the refresh like REFab would.
             command = self._all_bank_command(rank)
             if device.can_issue(command, cycle):
-                self._pending[rank] -= 1
+                self._paid(rank)
                 self.stats.all_bank_issued += 1
                 self.stats.forced += 1
                 return command
@@ -114,8 +103,8 @@ class ElasticRefreshPolicy(RefreshPolicy):
 
     def post_demand(self, cycle: int) -> Optional[Command]:
         device = self.device
-        for rank in range(self.num_ranks):
-            if self._pending[rank] <= 0:
+        for rank, (owed,) in enumerate(self._owed):
+            if owed <= 0:
                 continue
             if self.controller.rank_demand_count(rank) > 0:
                 continue
@@ -124,18 +113,18 @@ class ElasticRefreshPolicy(RefreshPolicy):
                 continue
             command = self._all_bank_command(rank)
             if device.can_issue(command, cycle):
-                self._pending[rank] -= 1
+                self._paid(rank)
                 self.stats.all_bank_issued += 1
                 return command
         return None
 
     def blocks_demand(self, cycle: int, rank: int, bank: int) -> bool:
-        return self._pending[rank] >= self._effective_postpone
+        return self._owed[rank][0] >= self._effective_postpone
 
     def refresh_candidate_banks(self, rank: int) -> tuple[int, ...]:
         # Elastic refresh issues (and prepares) rank-wide REFab commands
         # whenever any refresh is owed.
-        if self._pending[rank] > 0:
+        if self._owed[rank][0] > 0:
             return self._every_bank
         return ()
 
@@ -151,8 +140,8 @@ class ElasticRefreshPolicy(RefreshPolicy):
         base = super().next_event_cycle(now)
         if base is not None:
             candidates.append(base)
-        for rank in range(self.num_ranks):
-            if self._pending[rank] <= 0 or not self._was_idle[rank]:
+        for rank, (owed,) in enumerate(self._owed):
+            if owed <= 0 or not self._was_idle[rank]:
                 continue
             if self.controller.rank_demand_count(rank) > 0:
                 continue

@@ -12,18 +12,9 @@ from repro.core.base import RefreshPolicy
 
 
 class NoRefreshPolicy(RefreshPolicy):
-    """Never refreshes; the upper bound on performance."""
+    """Never refreshes (it declares no schedule); the upper bound on performance."""
 
     supports_post_issue_freeze = True
-
-    def pre_demand(self, cycle: int):
-        return None
-
-    def post_demand(self, cycle: int):
-        return None
-
-    def blocks_demand(self, cycle: int, rank: int, bank: int) -> bool:
-        return False
 
     def refresh_candidate_banks(self, rank: int) -> tuple[int, ...]:
         return ()

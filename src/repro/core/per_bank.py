@@ -12,7 +12,6 @@ Section 6.1).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 from repro.core.base import RefreshPolicy
@@ -25,45 +24,33 @@ class PerBankRefreshPolicy(RefreshPolicy):
     #: Pure function of (cycle, owed refreshes, device deadlines): a
     #: frozen window may start right after an issuing tick.
     supports_post_issue_freeze = True
+    schedule = "bank"
 
     def __init__(self, config, channel_id: int):
         super().__init__(config, channel_id)
-        interval = self.timings.tREFIpb
-        self._next_due = [
-            self._initial_due(interval, rank) for rank in range(self.num_ranks)
-        ]
-        self._round_robin = [0] * self.num_ranks
-        self._pending: list[deque[int]] = [deque() for _ in range(self.num_ranks)]
-
-    # -- schedule bookkeeping ----------------------------------------------------
-    def _accumulate_due(self, cycle: int) -> None:
-        interval = self.timings.tREFIpb
-        for rank in range(self.num_ranks):
-            while cycle >= self._next_due[rank]:
-                self._pending[rank].append(self._round_robin[rank])
-                self._round_robin[rank] = (self._round_robin[rank] + 1) % self.num_banks
-                self._next_due[rank] += interval
+        #: Per rank, the bank the DRAM's refresh counter refreshes next.
+        #: The owed refreshes are the consecutive round-robin run of banks
+        #: starting here, so the counter is an issue pointer over the
+        #: owed table.
+        self._issue_bank = [0] * self.num_ranks
 
     def pending_bank(self, rank: int) -> Optional[int]:
-        """The bank whose refresh is at the head of the rank's pending queue."""
-        queue = self._pending[rank]
-        return queue[0] if queue else None
-
-    def pending_refreshes(self, rank: int) -> int:
-        return len(self._pending[rank])
+        """The bank whose refresh the rank owes next, if it owes one."""
+        bank = self._issue_bank[rank]
+        return bank if self._owed[rank][bank] > 0 else None
 
     # -- policy hooks ---------------------------------------------------------------
     def pre_demand(self, cycle: int) -> Optional[Command]:
-        self._accumulate_due(cycle)
+        self.accrue(cycle)
         device = self.device
         for rank in range(self.num_ranks):
-            queue = self._pending[rank]
-            if not queue:
+            bank = self.pending_bank(rank)
+            if bank is None:
                 continue
-            bank = queue[0]
             command = self._per_bank_command(rank, bank)
             if device.can_issue(command, cycle):
-                queue.popleft()
+                self._paid(rank, bank)
+                self._issue_bank[rank] = (bank + 1) % self.num_banks
                 self.stats.per_bank_issued += 1
                 return command
             precharge = self._precharge_for_refresh(cycle, rank, bank)
@@ -73,11 +60,10 @@ class PerBankRefreshPolicy(RefreshPolicy):
 
     def blocks_demand(self, cycle: int, rank: int, bank: int) -> bool:
         # Only the bank at the head of the round-robin schedule is quiesced.
-        pending = self.pending_bank(rank)
-        return pending is not None and pending == bank
+        return self.pending_bank(rank) == bank
 
     def refresh_candidate_banks(self, rank: int) -> tuple[int, ...]:
-        # Strict round-robin: only the head of the queue can be refreshed
+        # Strict round-robin: only the owed head bank can be refreshed
         # (or precharged in preparation) this cycle.
         pending = self.pending_bank(rank)
         return () if pending is None else (pending,)

@@ -86,17 +86,6 @@ class TestRequestQueues:
         assert queues.rank_demand_count(rank) == 1
         assert queues.rank_demand_count(1 - rank) == 0
 
-    def test_idle_banks_and_fewest_demands(self):
-        queues = make_queues()
-        request = make_request(0)
-        queues.enqueue(request)
-        rank = request.location.rank
-        idle = queues.idle_banks(rank)
-        assert request.bank_key not in idle
-        assert len(idle) == 7
-        fewest = queues.bank_with_fewest_demands(rank)
-        assert fewest != request.bank_key
-
     def test_pending_row_hit_and_oldest(self):
         queues = make_queues()
         request = make_request(0)

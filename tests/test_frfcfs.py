@@ -118,8 +118,9 @@ class TestPolicyBlocking:
         while request is None or request.location.channel != 0:
             request = memory.access(address, False, core_id=0, cycle=0)
             address += 128
-        # Make a refresh pending for the request's rank: demand is blocked,
-        # so the scheduler proposes nothing for it.
-        policy._pending[request.location.rank] = 1
+        # Make a refresh pending for every rank (the request's included):
+        # demand is blocked, so the scheduler proposes nothing for it.
+        policy.accrue(memory.device.timings.tREFIab)
+        assert policy.refresh_debt(request.location.rank) == 1
         selection = controller.scheduler.select(0)
         assert selection is None

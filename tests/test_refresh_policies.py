@@ -76,10 +76,10 @@ class TestAllBankPolicy:
         t = memory.device.timings
         assert not policy.blocks_demand(0, 0, 0)
         # Advance the schedule so a refresh becomes pending without letting
-        # the controller issue it (call the accumulator directly).
-        policy._accumulate_due(t.tREFIab + 1)
-        assert policy.pending_refreshes(0) >= 1 or policy.pending_refreshes(1) >= 1
-        blocked_rank = 0 if policy.pending_refreshes(0) else 1
+        # the controller issue it (accrue directly).
+        policy.accrue(t.tREFIab + 1)
+        assert policy.refresh_debt(0) >= 1 or policy.refresh_debt(1) >= 1
+        blocked_rank = 0 if policy.refresh_debt(0) else 1
         assert policy.blocks_demand(t.tREFIab + 1, blocked_rank, 0)
 
 
@@ -89,18 +89,31 @@ class TestPerBankPolicy:
         controller = memory.controllers[0]
         policy = controller.refresh_policy
         t = memory.device.timings
-        policy._accumulate_due(t.tREFIpb * 3 + 1)
-        # The pending queue for the staggered rank preserves bank order 0,1,2...
+        # Issue a few refreshes so the issue pointer leaves bank 0, then
+        # owe more than one round of banks without issuing any.
+        start = t.tREFIpb * 5
+        run_cycles(memory, start)
+        policy.accrue(start + t.tREFIpb * (policy.num_banks + 3))
+        # The owed banks are the consecutive round-robin run starting at
+        # the issue pointer, wrapping as often as the rank owes.
+        pointers = set()
         for rank in range(policy.num_ranks):
-            pending = list(policy._pending[rank])
-            if pending:
-                assert pending == sorted(pending)
+            head = policy.pending_bank(rank)
+            owed = policy.refresh_debt(rank)
+            assert owed > policy.num_banks and head is not None
+            expected = [0] * policy.num_banks
+            for step in range(owed):
+                expected[(head + step) % policy.num_banks] += 1
+            banks = range(policy.num_banks)
+            assert [policy.refresh_debt(rank, bank) for bank in banks] == expected
+            pointers.add(head)
+        assert pointers != {0}
 
     def test_blocks_only_head_bank(self):
         memory = memory_for("refpb")
         policy = memory.controllers[0].refresh_policy
         t = memory.device.timings
-        policy._accumulate_due(t.tREFIpb * policy.num_ranks + 1)
+        policy.accrue(t.tREFIpb * policy.num_ranks + 1)
         for rank in range(policy.num_ranks):
             head = policy.pending_bank(rank)
             if head is None:
@@ -168,9 +181,17 @@ class TestDARPPolicy:
         policy = create_refresh_policy(paper_system(mechanism="darp"), 0)
         memory = memory_for("darp")
         policy.bind(memory.controllers[0])
-        assert not policy.blocks_demand(0, 0, 0)
-        policy._debt[0][0] = policy.refresh_config.max_postpone
-        assert policy.blocks_demand(0, 0, 0)
+        t = memory.device.timings
+        max_postpone = policy.refresh_config.max_postpone
+        # Let bank (0, 0) owe refresh after refresh, issuing none: demand
+        # to it flows until its postpone credit is exhausted.
+        cycle = 0
+        while policy.refresh_debt(0, 0) < max_postpone:
+            assert not policy.blocks_demand(cycle, 0, 0)
+            cycle += t.tREFIpb
+            policy.accrue(cycle)
+        assert policy.refresh_debt(0, 0) == max_postpone
+        assert policy.blocks_demand(cycle, 0, 0)
 
     def test_write_mode_candidate_picks_least_loaded_bank(self):
         memory = memory_for("darp")
